@@ -1,5 +1,14 @@
 GO ?= go
 
+# The concurrency-sensitive surface `make race` and `make ci` check under
+# the race detector. internal/sim is single-threaded by contract but
+# included so the detector verifies the engine's free-list never leaks
+# events across goroutines in tests.
+RACE_PKGS = ./internal/sim/... ./internal/obs/... ./internal/trace/... \
+	./internal/faultinject/... ./internal/hdfs/... ./internal/mrcluster/... \
+	./internal/iofmt/... ./internal/history/... ./internal/yarn/... \
+	./internal/kvstore/... ./internal/regionserver/...
+
 # Where `make bench` writes the committed headline-metrics artifact.
 # Each PR that re-baselines benchmarks bumps the default.
 BENCH_OUT ?= BENCH_pr10.json
@@ -43,11 +52,9 @@ check:
 	$(GO) run ./cmd/minilint ./internal/... ./cmd/...
 	$(GO) test -race ./...
 
-# Just the concurrency-sensitive surface, race-checked. internal/sim is
-# single-threaded by contract but included so the detector verifies the
-# engine's free-list never leaks events across goroutines in tests.
+# Just the concurrency-sensitive surface (RACE_PKGS), race-checked.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/faultinject/... ./internal/hdfs/... ./internal/mrcluster/... ./internal/iofmt/... ./internal/history/... ./internal/yarn/... ./internal/kvstore/... ./internal/regionserver/...
+	$(GO) test -race $(RACE_PKGS)
 
 chaos: race
 
@@ -63,14 +70,16 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ .
 
 # The gate a PR must pass end to end: vet, lint, build, tier-1 tests,
-# the race-checked obs + fault-injection subset, and a benchmark smoke
-# run. Static gates (vet, lint) come before tests so a determinism
-# violation fails the build even when no test happens to exercise it.
+# the race-checked RACE_PKGS, a benchmark smoke run, and the tests of the
+# nested perfbench module (which `go test ./...` at the root never
+# builds, so an API it calls could otherwise vanish unnoticed). Static
+# gates (vet, lint) come before tests so a determinism violation fails
+# the build even when no test happens to exercise it.
 ci: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/minilint ./internal/... ./cmd/...
 	$(GO) test ./...
-	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/faultinject/... ./internal/iofmt/... ./internal/history/... ./internal/yarn/... ./internal/kvstore/... ./internal/regionserver/...
+	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -run 'TestGoldenJobHistory|TestGoldenTrace' ./internal/jobs/
 	$(GO) run ./cmd/benchreport -trend
 	$(GO) test -run 'TestE12Smoke|TestE13Smoke' ./internal/experiments/
@@ -78,3 +87,4 @@ ci: build
 	$(GO) test -run '^$$' -fuzz FuzzSeqReadCorrupt -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/iofmt/
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	cd perfbench && $(GO) test ./...

@@ -32,6 +32,19 @@ func max(a, b int) int {
 	return b
 }
 
+// spansNamedScan is the pre-index implementation of SpansNamed: the
+// oracle for TestSpansNamedIndexMatchesScan and the baseline for
+// BenchmarkSpansNamed.
+func (r *Registry) spansNamedScan(name string) []Span {
+	var out []Span
+	for _, s := range r.Spans() {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // TestSpansNamedIndexMatchesScan pins the index against the original
 // linear scan on a mixed fixture.
 func TestSpansNamedIndexMatchesScan(t *testing.T) {

@@ -273,18 +273,6 @@ func (r *Registry) SpansNamed(name string) []Span {
 	return out
 }
 
-// spansNamedScan is the pre-index implementation, kept as the benchmark
-// baseline for BenchmarkSpansNamed.
-func (r *Registry) spansNamedScan(name string) []Span {
-	var out []Span
-	for _, s := range r.Spans() {
-		if s.Name == name {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // CounterValue returns the named counter's value (0 if never interned).
 func (r *Registry) CounterValue(name string) int64 {
 	if r == nil {

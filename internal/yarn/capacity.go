@@ -16,7 +16,7 @@ import (
 // inside a pass) just mark the pass dirty; the outer loop re-runs until
 // a full pass places nothing and nothing re-dirtied it.
 func (rm *ResourceManager) kick() {
-	if !rm.capacityMode() || rm.inPass {
+	if rm.inPass {
 		rm.passDirty = true
 		return
 	}
@@ -113,6 +113,22 @@ func (rm *ResourceManager) placeFor(req ContainerRequest) *nodeManager {
 	return rm.allocate(req.Resource)
 }
 
+// allocate finds an active node with room for r (most-free-first for
+// spreading).
+func (rm *ResourceManager) allocate(r Resource) *nodeManager {
+	var best *nodeManager
+	for _, nm := range rm.nodes {
+		if !nm.active || !r.Fits(nm.free()) {
+			continue
+		}
+		if best == nil || nm.free().VCores > best.free().VCores ||
+			(nm.free().VCores == best.free().VCores && nm.id < best.id) {
+			best = nm
+		}
+	}
+	return best
+}
+
 // grantContainer commits one allocation: charge node + queue + user,
 // emit the event, and hand the container to the app's master.
 func (rm *ResourceManager) grantContainer(app *Application, q *leafQueue, nm *nodeManager, res Resource, isAM bool) {
@@ -129,7 +145,10 @@ func (rm *ResourceManager) grantContainer(app *Application, q *leafQueue, nm *no
 	if isAM {
 		app.amContainer = c
 		app.State = AppRunning
-		app.StartedAt = rm.eng.Now()
+		if !app.started {
+			app.started = true
+			app.StartedAt = rm.eng.Now()
+		}
 	} else {
 		c.Tag = app.requests[0].Tag
 		app.requests = app.requests[1:]

@@ -3,21 +3,18 @@
 // beyond MapReduce's limitations in order to support additional
 // capabilities such as cluster resource manager [YARN]"): a
 // ResourceManager that owns cluster capacity, NodeManagers that host
-// containers, applications that negotiate containers for their work, and
-// pluggable scheduling policies.
+// containers, and applications that negotiate containers for their work.
 //
-// Two generations coexist, mirroring Hadoop's own history:
-//
-//   - The legacy path (NewResourceManager with a FIFO or fair Scheduler)
-//     schedules whole task lists app-greedily — the single-queue world
-//     whose failure mode is the paper's Fall 2012 deadline queue.
-//   - The capacity path (NewCapacityResourceManager) is a real
-//     multi-tenant scheduler: hierarchical capacity queues with user
-//     limits (queue.go), container-level allocation driven by AppMaster
-//     callbacks (this file), deterministic preemption of over-allocated
-//     queues (preempt.go), and an elastic autoscaler over the node pool
-//     (autoscale.go). Every decision lands in a replayable scheduler
-//     event log (events.go) keyed on the sim clock.
+// The ResourceManager (NewCapacityResourceManager) is a multi-tenant
+// capacity scheduler: hierarchical capacity queues with user limits
+// (queue.go), container-level allocation driven by AppMaster callbacks
+// (capacity.go), deterministic preemption of over-allocated queues
+// (preempt.go), and an elastic autoscaler over the node pool
+// (autoscale.go). Every decision lands in a replayable scheduler event
+// log (events.go) keyed on the sim clock. The single-queue world whose
+// failure mode is the paper's Fall 2012 deadline queue is the same
+// scheduler configured with DefaultQueues(): one elastic leaf, served
+// FIFO.
 //
 // It runs on the same deterministic sim engine as the rest of the stack,
 // which makes the multi-tenancy question behind the whole paper
@@ -70,8 +67,7 @@ type AppSpec struct {
 	Name string
 	User string
 	// Queue names the leaf capacity queue (leaf segment or full dotted
-	// path). Ignored by the legacy single-queue path; empty means the
-	// "default" leaf in capacity mode.
+	// path); empty means the "default" leaf.
 	Queue string
 	Tasks []TaskSpec
 	// AMResource is the master container held for the app's lifetime
@@ -166,30 +162,26 @@ type AppMaster interface {
 type Application struct {
 	ID   int
 	Spec AppSpec
-	// Queue is the resolved leaf queue path ("" in legacy mode).
+	// Queue is the resolved leaf queue path.
 	Queue string
 	// User is the submitting principal (default "nobody").
 	User string
 
 	State       AppState
 	SubmittedAt sim.Time
-	StartedAt   sim.Time
-	FinishedAt  sim.Time
+	// StartedAt is when the app's first AM container was granted; a
+	// re-grant after a node drain does not move it.
+	StartedAt  sim.Time
+	FinishedAt sim.Time
 
 	// Preemptions counts containers this app lost to preemption.
 	Preemptions int
 
-	// ctx roots the app's trace (capacity mode; invalid when unsampled
-	// or in legacy mode).
+	// ctx roots the app's trace (invalid when unsampled).
 	ctx obs.Ctx
 
-	// --- legacy-path fields ---
-	amNode        cluster.NodeID
-	nextTask      int
-	runningTasks  int
-	finishedTasks int
-
-	// --- capacity-path fields ---
+	// started is set by the first AM grant; StartedAt is final from then.
+	started     bool
 	master      AppMaster
 	queue       *leafQueue
 	amContainer *Container
@@ -220,60 +212,6 @@ func (a *Application) removeContainer(c *Container) {
 	}
 }
 
-// Scheduler picks which pending app gets the next free container (legacy
-// single-queue path).
-type Scheduler interface {
-	Name() string
-	// Pick returns the index into apps of the next app to serve, or -1.
-	// Every candidate has at least one unscheduled task.
-	Pick(apps []*Application) int
-}
-
-// FIFOScheduler serves the oldest app until it is fully scheduled — the
-// behaviour that let one student's job monopolise the paper's shared
-// cluster.
-type FIFOScheduler struct{}
-
-// Name implements Scheduler.
-func (FIFOScheduler) Name() string { return "fifo" }
-
-// Pick implements Scheduler.
-func (FIFOScheduler) Pick(apps []*Application) int {
-	best := -1
-	for i, a := range apps {
-		if best == -1 || a.SubmittedAt < apps[best].SubmittedAt ||
-			(a.SubmittedAt == apps[best].SubmittedAt && a.ID < apps[best].ID) {
-			best = i
-		}
-	}
-	return best
-}
-
-// FairScheduler gives the next container to the app currently holding the
-// fewest, breaking ties by submission time — instantaneous fair sharing.
-type FairScheduler struct{}
-
-// Name implements Scheduler.
-func (FairScheduler) Name() string { return "fair" }
-
-// Pick implements Scheduler.
-func (FairScheduler) Pick(apps []*Application) int {
-	best := -1
-	for i, a := range apps {
-		if best == -1 {
-			best = i
-			continue
-		}
-		b := apps[best]
-		if a.runningTasks < b.runningTasks ||
-			(a.runningTasks == b.runningTasks && a.SubmittedAt < b.SubmittedAt) ||
-			(a.runningTasks == b.runningTasks && a.SubmittedAt == b.SubmittedAt && a.ID < b.ID) {
-			best = i
-		}
-	}
-	return best
-}
-
 // nodeManager tracks one node's container capacity.
 type nodeManager struct {
 	id       cluster.NodeID
@@ -282,7 +220,7 @@ type nodeManager struct {
 	used     Resource
 	// active nodes accept allocations; the autoscaler parks the rest.
 	active bool
-	// containers live on this node, allocation order (capacity mode).
+	// containers live on this node, allocation order.
 	containers []*Container
 }
 
@@ -297,7 +235,7 @@ func (nm *nodeManager) removeContainer(c *Container) {
 	}
 }
 
-// CapacityOptions configures a capacity-mode ResourceManager.
+// CapacityOptions configures a ResourceManager.
 type CapacityOptions struct {
 	// Queues is the hierarchical queue tree (DefaultQueues() when zero).
 	Queues QueueConfig
@@ -311,8 +249,7 @@ type CapacityOptions struct {
 
 // ResourceManager owns the cluster's resources and runs the scheduler.
 type ResourceManager struct {
-	eng   *sim.Engine
-	sched Scheduler
+	eng *sim.Engine
 
 	nodes []*nodeManager
 	apps  []*Application
@@ -321,7 +258,6 @@ type ResourceManager struct {
 	// ContainersLaunched counts all container starts (AM + tasks).
 	ContainersLaunched int
 
-	// --- capacity mode (nil leaves == legacy mode) ---
 	leaves       []*leafQueue
 	preemptCfg   PreemptionConfig
 	autoscaleCfg AutoscaleConfig
@@ -338,17 +274,6 @@ type ResourceManager struct {
 	lastScaleDown   sim.Time
 	lastAccrue      sim.Time
 	nodeNanoseconds float64
-}
-
-// NewResourceManager builds a legacy single-queue RM over the topology;
-// each node's capacity derives from its cores and RAM.
-func NewResourceManager(eng *sim.Engine, topo *cluster.Topology, sched Scheduler) *ResourceManager {
-	if sched == nil {
-		sched = FIFOScheduler{}
-	}
-	rm := &ResourceManager{eng: eng, sched: sched}
-	rm.initNodes(topo, topo.Len())
-	return rm
 }
 
 // NewCapacityResourceManager builds a multi-tenant RM: hierarchical
@@ -399,9 +324,6 @@ func (rm *ResourceManager) initNodes(topo *cluster.Topology, active int) {
 	rm.m.activeNodes.Set(int64(active))
 }
 
-// capacityMode reports whether this RM runs the capacity scheduler.
-func (rm *ResourceManager) capacityMode() bool { return rm.leaves != nil }
-
 // ClusterCapacity returns the summed capacity of the active node pool.
 func (rm *ResourceManager) ClusterCapacity() Resource {
 	var total Resource
@@ -443,45 +365,30 @@ func (rm *ResourceManager) Utilization() float64 {
 // Preemptions returns the number of containers killed by preemption.
 func (rm *ResourceManager) Preemptions() int { return rm.preemptions }
 
-// EventLog returns the scheduler's replayable event log (capacity mode;
-// nil-safe in legacy mode: a nil *Log drops everything).
+// EventLog returns the scheduler's replayable event log.
 func (rm *ResourceManager) EventLog() *history.Log { return rm.log }
 
-// Submit registers an application. In legacy mode its AM starts as soon
-// as capacity allows and tasks flow through the pluggable Scheduler; in
-// capacity mode the built-in task driver requests one container per task
-// through the capacity queues.
+// Submit registers an application whose task list is run by the
+// built-in task driver: one container request per task through the
+// app's capacity queue.
 func (rm *ResourceManager) Submit(spec AppSpec) (*Application, error) {
 	if len(spec.Tasks) == 0 {
 		return nil, errors.New("yarn: application has no tasks")
 	}
-	if rm.capacityMode() {
-		app, err := rm.SubmitManaged(spec, nil)
-		if err != nil {
-			return nil, err
-		}
-		tm := &taskMaster{rm: rm, app: app}
-		app.master = tm
-		tm.start()
-		return app, nil
-	}
-	if err := rm.validateSpec(&spec); err != nil {
+	app, err := rm.SubmitManaged(spec, nil)
+	if err != nil {
 		return nil, err
 	}
-	rm.next++
-	app := &Application{ID: rm.next, Spec: spec, User: spec.User, SubmittedAt: rm.eng.Now()}
-	rm.apps = append(rm.apps, app)
-	rm.schedule()
+	tm := &taskMaster{rm: rm, app: app}
+	app.master = tm
+	tm.start()
 	return app, nil
 }
 
-// SubmitManaged registers an application driven by an external AppMaster
-// (capacity mode only). The RM launches the AM container through the
-// app's queue; the master then negotiates task containers with Request.
+// SubmitManaged registers an application driven by an external
+// AppMaster. The RM launches the AM container through the app's queue;
+// the master then negotiates task containers with Request.
 func (rm *ResourceManager) SubmitManaged(spec AppSpec, master AppMaster) (*Application, error) {
-	if !rm.capacityMode() {
-		return nil, errors.New("yarn: SubmitManaged requires a capacity ResourceManager")
-	}
 	if err := rm.validateSpec(&spec); err != nil {
 		return nil, err
 	}
@@ -553,11 +460,11 @@ func (rm *ResourceManager) largestNode() Resource {
 	return max
 }
 
-// Request asks for one more container for app (capacity mode). The
-// request queues FIFO per app and is served subject to the app's queue
-// capacity and user limit.
+// Request asks for one more container for app. The request queues FIFO
+// per app and is served subject to the app's queue capacity and user
+// limit.
 func (rm *ResourceManager) Request(app *Application, req ContainerRequest) {
-	if !rm.capacityMode() || app.State == AppFinished {
+	if app.State == AppFinished {
 		return
 	}
 	if req.Resource == (Resource{}) {
@@ -596,7 +503,7 @@ func (rm *ResourceManager) containerSpan(c *Container, reason string) {
 	rm.m.reg.SpanCtx(c.ctx, SpanContainer, time.Duration(c.StartedAt), time.Duration(rm.eng.Now()), attrs)
 }
 
-// Release returns a task container to the pool (capacity mode).
+// Release returns a task container to the pool.
 func (rm *ResourceManager) Release(c *Container, reason string) {
 	if c == nil || c.state != containerLive || c.AM {
 		return
@@ -624,7 +531,7 @@ func (rm *ResourceManager) freeContainer(c *Container) {
 // FinishApp marks a managed app complete: leftover containers and the AM
 // are released and the app leaves its queue.
 func (rm *ResourceManager) FinishApp(app *Application) {
-	if !rm.capacityMode() || app.State == AppFinished {
+	if app.State == AppFinished {
 		return
 	}
 	for _, c := range append([]*Container(nil), app.containers...) {
@@ -741,112 +648,3 @@ func (rm *ResourceManager) AllFinished() bool {
 }
 
 func appID(a *Application) string { return fmt.Sprintf("app%05d", a.ID) }
-
-// --- legacy single-queue scheduling (unchanged semantics) ---
-
-// allocate finds an active node with room for r (most-free-first for
-// spreading).
-func (rm *ResourceManager) allocate(r Resource) *nodeManager {
-	var best *nodeManager
-	for _, nm := range rm.nodes {
-		if !nm.active || !r.Fits(nm.free()) {
-			continue
-		}
-		if best == nil || nm.free().VCores > best.free().VCores ||
-			(nm.free().VCores == best.free().VCores && nm.id < best.id) {
-			best = nm
-		}
-	}
-	return best
-}
-
-// schedule drives all legacy-path state transitions: AM launches for
-// pending apps in submit order, then task containers via the pluggable
-// scheduler.
-func (rm *ResourceManager) schedule() {
-	if rm.capacityMode() {
-		rm.kick()
-		return
-	}
-	// Launch ApplicationMasters (FIFO regardless of task scheduler, as in
-	// YARN where the AM itself is a scheduled container).
-	pending := append([]*Application(nil), rm.apps...)
-	sort.Slice(pending, func(i, j int) bool { return pending[i].ID < pending[j].ID })
-	for _, app := range pending {
-		if app.State != AppPending {
-			continue
-		}
-		nm := rm.allocate(app.Spec.AMResource)
-		if nm == nil {
-			continue
-		}
-		nm.used = nm.used.plus(app.Spec.AMResource)
-		app.amNode = nm.id
-		app.State = AppRunning
-		app.StartedAt = rm.eng.Now()
-		rm.ContainersLaunched++
-	}
-	// Task containers.
-	for {
-		var candidates []*Application
-		for _, app := range rm.apps {
-			if app.State == AppRunning && app.nextTask < len(app.Spec.Tasks) {
-				candidates = append(candidates, app)
-			}
-		}
-		if len(candidates) == 0 {
-			return
-		}
-		idx := rm.sched.Pick(candidates)
-		if idx < 0 || idx >= len(candidates) {
-			return
-		}
-		app := candidates[idx]
-		task := app.Spec.Tasks[app.nextTask]
-		nm := rm.allocate(task.Resource)
-		if nm == nil {
-			// No room for this app's next container; try to serve another
-			// app with a smaller request before giving up entirely.
-			served := false
-			for _, other := range candidates {
-				if other == app {
-					continue
-				}
-				t2 := other.Spec.Tasks[other.nextTask]
-				if nm2 := rm.allocate(t2.Resource); nm2 != nil {
-					rm.launchTask(other, t2, nm2)
-					served = true
-					break
-				}
-			}
-			if !served {
-				return
-			}
-			continue
-		}
-		rm.launchTask(app, task, nm)
-	}
-}
-
-func (rm *ResourceManager) launchTask(app *Application, task TaskSpec, nm *nodeManager) {
-	app.nextTask++
-	app.runningTasks++
-	nm.used = nm.used.plus(task.Resource)
-	rm.ContainersLaunched++
-	rm.eng.After(task.Duration, func() {
-		nm.used = nm.used.minus(task.Resource)
-		app.runningTasks--
-		app.finishedTasks++
-		if app.finishedTasks == len(app.Spec.Tasks) {
-			// Release the AM and finish.
-			for _, n := range rm.nodes {
-				if n.id == app.amNode {
-					n.used = n.used.minus(app.Spec.AMResource)
-				}
-			}
-			app.State = AppFinished
-			app.FinishedAt = rm.eng.Now()
-		}
-		rm.schedule()
-	})
-}

@@ -6,14 +6,21 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/sim"
 	"repro/internal/yarn"
 )
 
-func newRM(t testing.TB, nodes int, sched yarn.Scheduler) (*sim.Engine, *yarn.ResourceManager) {
-	eng := sim.NewEngine()
-	topo := cluster.NewTopology(cluster.PaperNodeConfig(nodes, 1))
-	return eng, yarn.NewResourceManager(eng, topo, sched)
+// splitQueues splits the cluster between two elastic leaves, "grad" and
+// "default", each guaranteed half and allowed to grow to all of it when
+// the other is idle. A user limit of 2x the guarantee lets a lone user
+// fill the cluster, so the split only bites under contention.
+func splitQueues() yarn.QueueConfig {
+	return yarn.QueueConfig{
+		Name: "root",
+		Children: []yarn.QueueConfig{
+			{Name: "grad", Capacity: 0.5, UserLimitFactor: 2},
+			{Name: "default", Capacity: 0.5, UserLimitFactor: 2},
+		},
+	}
 }
 
 func uniformApp(name, user string, tasks int, perTask time.Duration) yarn.AppSpec {
@@ -28,7 +35,7 @@ func uniformApp(name, user string, tasks int, perTask time.Duration) yarn.AppSpe
 }
 
 func TestSingleAppRunsToCompletion(t *testing.T) {
-	eng, rm := newRM(t, 4, nil)
+	eng, rm := newCapRM(t, 4, yarn.CapacityOptions{})
 	app, err := rm.Submit(uniformApp("wordcount", "alice", 10, time.Minute))
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +57,7 @@ func TestSingleAppRunsToCompletion(t *testing.T) {
 }
 
 func TestWavesWhenOversubscribed(t *testing.T) {
-	eng, rm := newRM(t, 1, nil) // 16 cores: AM takes 1, 7 tasks of 2vc fit
+	eng, rm := newCapRM(t, 1, yarn.CapacityOptions{}) // 16 cores: AM takes 1, 7 tasks of 2vc fit
 	app, err := rm.Submit(uniformApp("big", "bob", 14, time.Minute))
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +69,7 @@ func TestWavesWhenOversubscribed(t *testing.T) {
 }
 
 func TestRejectsImpossibleRequests(t *testing.T) {
-	_, rm := newRM(t, 2, nil)
+	_, rm := newCapRM(t, 2, yarn.CapacityOptions{})
 	if _, err := rm.Submit(yarn.AppSpec{Name: "empty", User: "x"}); err == nil {
 		t.Fatal("empty app accepted")
 	}
@@ -75,11 +82,14 @@ func TestRejectsImpossibleRequests(t *testing.T) {
 
 func TestFIFOStarvesSmallJobs(t *testing.T) {
 	// The multi-tenancy lesson: a deadline-night cluster with one huge job
-	// at the head of the queue. FIFO makes every later small job wait for
-	// the giant; fair sharing interleaves them.
-	run := func(sched yarn.Scheduler) (bigMakespan time.Duration, smallWait []time.Duration) {
-		eng, rm := newRM(t, 8, sched)
-		big, err := rm.Submit(uniformApp("thesis-job", "grad", 400, 2*time.Minute))
+	// at the head of the queue. One FIFO queue makes every later small job
+	// wait for the giant; a queue of its own for the big job lets the
+	// small jobs take their half as soon as containers free up.
+	run := func(queues yarn.QueueConfig, bigQueue string) (bigMakespan time.Duration, smallWait []time.Duration) {
+		eng, rm := newCapRM(t, 8, yarn.CapacityOptions{Queues: queues})
+		bigSpec := uniformApp("thesis-job", "grad", 400, 2*time.Minute)
+		bigSpec.Queue = bigQueue
+		big, err := rm.Submit(bigSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,17 +111,18 @@ func TestFIFOStarvesSmallJobs(t *testing.T) {
 		}
 		return big.Makespan(), smallWait
 	}
-	bigFIFO, smallFIFO := run(yarn.FIFOScheduler{})
-	bigFair, smallFair := run(yarn.FairScheduler{})
+	bigFIFO, smallFIFO := run(yarn.DefaultQueues(), "")
+	bigSplit, smallSplit := run(splitQueues(), "grad")
 
 	medF := median(smallFIFO)
-	medR := median(smallFair)
-	if medR*3 > medF {
-		t.Fatalf("fair sharing should cut small-job latency >=3x: fifo=%v fair=%v", medF, medR)
+	medS := median(smallSplit)
+	t.Logf("small-job median: fifo=%v split=%v; big job: fifo=%v split=%v", medF, medS, bigFIFO, bigSplit)
+	if medS*3 > medF {
+		t.Fatalf("a queue split should cut small-job latency >=3x: fifo=%v split=%v", medF, medS)
 	}
-	// The big job pays only modestly for fairness.
-	if bigFair > bigFIFO*2 {
-		t.Fatalf("fairness tax on the big job too high: %v vs %v", bigFair, bigFIFO)
+	// The big job pays only modestly for the split.
+	if bigSplit > bigFIFO*2 {
+		t.Fatalf("split tax on the big job too high: %v vs %v", bigSplit, bigFIFO)
 	}
 }
 
@@ -126,10 +137,10 @@ func median(ds []time.Duration) time.Duration {
 }
 
 func TestFairSharingIsWorkConserving(t *testing.T) {
-	// With a single app, fair and FIFO must perform identically: fairness
-	// never idles capacity.
-	mk := func(s yarn.Scheduler) time.Duration {
-		eng, rm := newRM(t, 2, s)
+	// With a single app, the two-leaf split and the single FIFO queue must
+	// perform identically: the split never idles capacity.
+	mk := func(queues yarn.QueueConfig) time.Duration {
+		eng, rm := newCapRM(t, 2, yarn.CapacityOptions{Queues: queues})
 		app, err := rm.Submit(uniformApp("only", "solo", 40, time.Minute))
 		if err != nil {
 			t.Fatal(err)
@@ -137,13 +148,15 @@ func TestFairSharingIsWorkConserving(t *testing.T) {
 		eng.Run()
 		return app.Makespan()
 	}
-	if f, r := mk(yarn.FIFOScheduler{}), mk(yarn.FairScheduler{}); f != r {
-		t.Fatalf("single-app makespan differs: fifo=%v fair=%v", f, r)
+	f, s := mk(yarn.DefaultQueues()), mk(splitQueues())
+	t.Logf("single-app makespan: fifo=%v split=%v", f, s)
+	if f != s {
+		t.Fatalf("single-app makespan differs: fifo=%v split=%v", f, s)
 	}
 }
 
 func TestUtilizationTracksLoad(t *testing.T) {
-	eng, rm := newRM(t, 1, nil)
+	eng, rm := newCapRM(t, 1, yarn.CapacityOptions{})
 	if _, err := rm.Submit(uniformApp("u", "x", 7, time.Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +173,7 @@ func TestUtilizationTracksLoad(t *testing.T) {
 func TestMemoryConstrainedPacking(t *testing.T) {
 	// Memory, not cores, is the bottleneck: 64 GB nodes, 30 GB containers
 	// -> two per node regardless of cores.
-	eng, rm := newRM(t, 2, nil)
+	eng, rm := newCapRM(t, 2, yarn.CapacityOptions{})
 	spec := yarn.AppSpec{Name: "mem", User: "m"}
 	for i := 0; i < 8; i++ {
 		spec.Tasks = append(spec.Tasks, yarn.TaskSpec{
@@ -181,7 +194,7 @@ func TestMemoryConstrainedPacking(t *testing.T) {
 
 func TestDeterministicSchedule(t *testing.T) {
 	run := func() []time.Duration {
-		eng, rm := newRM(t, 4, yarn.FairScheduler{})
+		eng, rm := newCapRM(t, 4, yarn.CapacityOptions{})
 		var apps []*yarn.Application
 		for i := 0; i < 6; i++ {
 			a, err := rm.Submit(uniformApp(fmt.Sprintf("a%d", i), "u", 10+i, time.Minute))
@@ -206,11 +219,59 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 }
 
-func BenchmarkFairSchedulerManyApps(b *testing.B) {
+func TestAMDrainKeepsWaitTime(t *testing.T) {
+	// Draining the AM's node sends the app back to PENDING for a fresh AM;
+	// its wait is still measured to the first AM container, not the last.
+	eng, rm := newCapRM(t, 2, yarn.CapacityOptions{})
+	app, err := rm.Submit(uniformApp("drained", "d", 4, 2*time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Advance(time.Minute)
+	amNode := ""
+	for _, ev := range rm.EventLog().Events() {
+		if ev.Type == yarn.EvAMStart {
+			amNode = ev.Attrs["node"]
+		}
+	}
+	var id int
+	if _, err := fmt.Sscan(amNode, &id); err != nil {
+		t.Fatalf("no AM start logged: %v", err)
+	}
+	rm.SetNodeActive(cluster.NodeID(id), false)
+	eng.Run()
+	if app.State != yarn.AppFinished {
+		t.Fatalf("state = %v after drain", app.State)
+	}
+	amStarts, waitNS := 0, ""
+	for _, ev := range rm.EventLog().Events() {
+		switch ev.Type {
+		case yarn.EvAMStart:
+			amStarts++
+		case yarn.EvAppFinish:
+			waitNS = ev.Attrs["wait_ns"]
+		}
+	}
+	if amStarts != 2 {
+		t.Fatalf("AM starts = %d, want 2 (original + re-grant after drain)", amStarts)
+	}
+	if app.WaitTime() != 0 || waitNS != "0" {
+		t.Fatalf("WaitTime() = %v, wait_ns = %s; want 0: the first AM started at submit", app.WaitTime(), waitNS)
+	}
+	if err := yarn.CheckLog(rm.EventLog().Events()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func BenchmarkCapacitySchedulerManyApps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		eng, rm := newRM(b, 8, yarn.FairScheduler{})
+		eng, rm := newCapRM(b, 8, yarn.CapacityOptions{Queues: splitQueues()})
 		for j := 0; j < 50; j++ {
-			if _, err := rm.Submit(uniformApp(fmt.Sprintf("a%d", j), "u", 20, time.Minute)); err != nil {
+			spec := uniformApp(fmt.Sprintf("a%d", j), "u", 20, time.Minute)
+			if j%2 == 1 {
+				spec.Queue = "grad"
+			}
+			if _, err := rm.Submit(spec); err != nil {
 				b.Fatal(err)
 			}
 		}
