@@ -70,7 +70,8 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ .
 
 # The gate a PR must pass end to end: vet, lint, build, tier-1 tests,
-# the race-checked RACE_PKGS, a benchmark smoke run, and the tests of the
+# the race-checked RACE_PKGS, the goldens again at one CPU (same seed,
+# same bytes at any GOMAXPROCS), a benchmark smoke run, and the tests of the
 # nested perfbench module (which `go test ./...` at the root never
 # builds, so an API it calls could otherwise vanish unnoticed). Static
 # gates (vet, lint) come before tests so a determinism violation fails
@@ -81,6 +82,7 @@ ci: build
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -run 'TestGoldenJobHistory|TestGoldenTrace' ./internal/jobs/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestGoldenJobHistory|TestGoldenTrace' ./internal/jobs/
 	$(GO) run ./cmd/benchreport -trend
 	$(GO) test -run 'TestE12Smoke|TestE13Smoke' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz FuzzSeqSplit -fuzztime 5s ./internal/iofmt/

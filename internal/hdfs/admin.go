@@ -21,6 +21,7 @@ func (nn *NameNode) StartDecommission(id cluster.NodeID) error {
 		return fmt.Errorf("hdfs: node %d is not a registered datanode", id)
 	}
 	nn.decommissioning[id] = true
+	nn.queueAllBlocks()
 	return nil
 }
 
@@ -133,8 +134,8 @@ func (d *MiniDFS) moveOneBlock(src, dst *DataNode) bool {
 		}
 		// Charge the move to the virtual clock.
 		d.Engine.Advance(readCost + d.Cost.Transfer(d.Topology.Distance(src.id, dst.id), int64(len(data))))
-		bm.replicas[dst.id] = true
-		delete(bm.replicas, src.id)
+		d.NN.addReplica(bm, dst.id)
+		d.NN.dropReplica(bm, src.id)
 		src.deleteBlock(id)
 		return true
 	}

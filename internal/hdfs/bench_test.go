@@ -81,3 +81,14 @@ func BenchmarkBlockLocations(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReplicationMonitorIdle times one replication-monitor pass over
+// 10,000 settled blocks: with nothing changed, the pass has nothing to do.
+func BenchmarkReplicationMonitorIdle(b *testing.B) {
+	d := settledDFS(b, 10_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.NN.ReplicationMonitorPass()
+	}
+}

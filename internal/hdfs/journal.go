@@ -7,7 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-
+	"repro/internal/sim"
 	"repro/internal/vfs"
 )
 
@@ -150,6 +150,7 @@ func (nn *NameNode) loadNamespaceFromDisk() error {
 	}
 	nn.ns = newNamespace()
 	nn.blocks = map[BlockID]*blockMeta{}
+	nn.replQueue = map[BlockID]struct{}{}
 	nn.nextBlock = 0
 
 	addFile := func(path string, repl int, blocks []BlockID, lens []int64) error {
@@ -234,18 +235,14 @@ func (nn *NameNode) loadNamespaceFromDisk() error {
 					continue // already gone; edits are idempotent-ish
 				}
 				for _, bid := range freed {
-					delete(nn.blocks, bid)
+					nn.forgetBlock(bid)
 				}
 			case "rename":
 				_ = nn.ns.rename(rec.Path, rec.Path2)
 			case "setrep":
 				if f := nn.ns.lookup(rec.Path); f != nil && !f.dir {
 					f.repl = rec.Repl
-					for _, bid := range f.blocks {
-						if bm, ok := nn.blocks[bid]; ok {
-							bm.expected = rec.Repl
-						}
-					}
+					nn.setExpected(f, rec.Repl)
 				}
 			}
 		}
@@ -257,9 +254,9 @@ func (nn *NameNode) loadNamespaceFromDisk() error {
 }
 
 // RestartFromDisk models a NameNode cold start: the in-memory namespace
-// is discarded and rebuilt from fsimage + edit log; replica locations are
-// forgotten and the cluster re-enters safe mode until block reports
-// arrive.
+// is discarded and rebuilt from fsimage + edit log; replica locations and
+// re-replication backoffs are forgotten and the cluster re-enters safe
+// mode until block reports arrive.
 func (nn *NameNode) RestartFromDisk() error {
 	if err := nn.loadNamespaceFromDisk(); err != nil {
 		return err
@@ -269,5 +266,7 @@ func (nn *NameNode) RestartFromDisk() error {
 	nn.m.safeMode.Set(1)
 	nn.dns = map[cluster.NodeID]*dnInfo{}
 	nn.pendingRepl = map[BlockID]bool{}
+	nn.replRetryAt = map[BlockID]sim.Time{}
+	nn.queueAllBlocks()
 	return nil
 }

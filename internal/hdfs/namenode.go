@@ -109,6 +109,15 @@ type NameNode struct {
 	replRetryAt     map[BlockID]sim.Time // failed attempts back off until here
 	decommissioning map[cluster.NodeID]bool
 
+	// replQueue holds the blocks the replication monitor must look at:
+	// every block whose replica set, corrupt set, target or replica-node
+	// liveness changed since the monitor last found it settled (Hadoop's
+	// neededReplications). The monitor drains it in sorted order, so a
+	// pass costs what changed, not the whole block map. replScratch is
+	// the reused buffer that sort happens in.
+	replQueue   map[BlockID]struct{}
+	replScratch []BlockID
+
 	// metaFS, when set, persists the namespace (fsimage + edit log);
 	// see journal.go.
 	metaFS vfs.FileSystem
@@ -163,6 +172,7 @@ func newNameNode(eng *sim.Engine, topo *cluster.Topology, cost cluster.CostModel
 		pendingRepl:     map[BlockID]bool{},
 		replRetryAt:     map[BlockID]sim.Time{},
 		decommissioning: map[cluster.NodeID]bool{},
+		replQueue:       map[BlockID]struct{}{},
 		obs:             reg,
 		m:               newNNMetrics(reg),
 		audit:           history.NewLog(reg.Counter(history.MetricAuditEvents)),
@@ -199,6 +209,42 @@ func (nn *NameNode) Restart() {
 		bm.replicas = map[cluster.NodeID]bool{}
 		bm.corrupt = map[cluster.NodeID]bool{}
 	}
+	nn.queueAllBlocks()
+}
+
+// queueBlock asks the replication monitor to look at a block on its next
+// pass. Every change to a block's replica set, corrupt set or target
+// must call it (addReplica and dropReplica do), or the monitor would
+// never notice the block drifting from its target.
+func (nn *NameNode) queueBlock(id BlockID) { nn.replQueue[id] = struct{}{} }
+
+// queueAllBlocks queues every block: for events that change how a whole
+// node's replicas count (registration, death, rejoin, decommission,
+// restart). Each is rare, and each already costs a pass over the blocks.
+func (nn *NameNode) queueAllBlocks() {
+	for id := range nn.blocks {
+		nn.queueBlock(id)
+	}
+}
+
+// addReplica records a replica of bm on node and queues the block.
+func (nn *NameNode) addReplica(bm *blockMeta, node cluster.NodeID) {
+	bm.replicas[node] = true
+	nn.queueBlock(bm.id)
+}
+
+// dropReplica forgets bm's replica on node and queues the block.
+func (nn *NameNode) dropReplica(bm *blockMeta, node cluster.NodeID) {
+	delete(bm.replicas, node)
+	nn.queueBlock(bm.id)
+}
+
+// forgetBlock removes a block from the block map together with the
+// monitor state kept for it.
+func (nn *NameNode) forgetBlock(id BlockID) {
+	delete(nn.blocks, id)
+	delete(nn.replQueue, id)
+	delete(nn.replRetryAt, id)
 }
 
 // --- DataNode protocol ---
@@ -207,6 +253,7 @@ func (nn *NameNode) register(dn *DataNode) {
 	nn.datanodes[dn.id] = dn
 	nn.dns[dn.id] = &dnInfo{id: dn.id, lastHeartbeat: nn.eng.Now(), alive: true}
 	nn.m.registrations.Inc()
+	nn.queueAllBlocks()
 }
 
 func (nn *NameNode) heartbeat(id cluster.NodeID) {
@@ -229,6 +276,7 @@ func (nn *NameNode) heartbeat(id cluster.NodeID) {
 		// rejoining DataNode to do — otherwise its replicas would stay
 		// invisible until the next scheduled block report.
 		info.alive = true
+		nn.queueAllBlocks()
 		if dn := nn.datanodes[id]; dn != nil && dn.alive {
 			dn.sendBlockReport()
 		}
@@ -246,11 +294,12 @@ func (nn *NameNode) blockReport(id cluster.NodeID, held []BlockID) {
 	for _, b := range held {
 		heldSet[b] = true
 	}
+	// Only blocks whose replica set the report changes need the monitor.
 	for bid, bm := range nn.blocks {
-		if heldSet[bid] {
-			bm.replicas[id] = true
-		} else {
-			delete(bm.replicas, id)
+		if had := bm.replicas[id]; heldSet[bid] && !had {
+			nn.addReplica(bm, id)
+		} else if !heldSet[bid] && had {
+			nn.dropReplica(bm, id)
 		}
 	}
 	// Blocks the DataNode holds that the namespace no longer references
@@ -300,7 +349,9 @@ func (nn *NameNode) checkLiveness() {
 		// Replicas on a dead node no longer count; the replication
 		// monitor will notice the deficit on its next pass.
 		for _, bm := range nn.blocks {
-			delete(bm.replicas, id)
+			if bm.replicas[id] {
+				nn.dropReplica(bm, id)
+			}
 		}
 	}
 }
@@ -507,14 +558,14 @@ func (nn *NameNode) commitBlock(f *inode, id BlockID, length int64, written []cl
 	bm := nn.blocks[id]
 	bm.len = length
 	for _, w := range written {
-		bm.replicas[w] = true
+		nn.addReplica(bm, w)
 	}
 	f.blocks = append(f.blocks, id)
 	f.size += length
 }
 
 // abandonBlock drops a block that failed to write.
-func (nn *NameNode) abandonBlock(id BlockID) { delete(nn.blocks, id) }
+func (nn *NameNode) abandonBlock(id BlockID) { nn.forgetBlock(id) }
 
 // Delete removes a path, invalidating its blocks on all DataNodes.
 func (nn *NameNode) Delete(path string, recursive bool) error {
@@ -532,7 +583,7 @@ func (nn *NameNode) Delete(path string, recursive bool) error {
 					dn.deleteBlock(bid)
 				}
 			}
-			delete(nn.blocks, bid)
+			nn.forgetBlock(bid)
 		}
 	}
 	return nn.journal(editRecord{Op: "delete", Path: vfs.Clean(path)})
@@ -566,12 +617,18 @@ func (nn *NameNode) SetReplication(path string, repl int) error {
 		return &vfs.PathError{Op: "setrep", Path: path, Err: vfs.ErrIsDir}
 	}
 	f.repl = repl
+	nn.setExpected(f, repl)
+	return nn.journal(editRecord{Op: "setrep", Path: vfs.Clean(path), Repl: repl})
+}
+
+// setExpected retargets every block of f and queues it for the monitor.
+func (nn *NameNode) setExpected(f *inode, repl int) {
 	for _, bid := range f.blocks {
 		if bm, ok := nn.blocks[bid]; ok {
 			bm.expected = repl
+			nn.queueBlock(bid)
 		}
 	}
-	return nn.journal(editRecord{Op: "setrep", Path: vfs.Clean(path), Repl: repl})
 }
 
 // Stat describes a file or directory.
@@ -666,7 +723,7 @@ func (nn *NameNode) markCorrupt(id BlockID, node cluster.NodeID) {
 			"node":  nn.hostname(node),
 		})
 	}
-	delete(bm.replicas, node)
+	nn.dropReplica(bm, node)
 	if dn := nn.datanodes[node]; dn != nil {
 		dn.deleteBlock(id)
 	}
@@ -674,23 +731,31 @@ func (nn *NameNode) markCorrupt(id BlockID, node cluster.NodeID) {
 
 // --- replication monitor ---
 
+// replicationMonitor drains the replication queue in block-ID order, so
+// its decisions (and the random target picks behind them) depend neither
+// on map order nor on when a block was queued. A block leaves the queue
+// once it is settled (live == expected) or missing (live == 0): only a
+// later change, which queues it again, can unsettle it. Blocks waiting
+// on a copy or a retry backoff stay.
 func (nn *NameNode) replicationMonitor() {
 	if nn.safeMode {
 		return
 	}
-	ids := make([]BlockID, 0, len(nn.blocks))
-	for id := range nn.blocks {
+	ids := nn.replScratch[:0]
+	for id := range nn.replQueue {
 		ids = append(ids, id)
 	}
-	// Deterministic iteration order.
 	slices.Sort(ids)
+	nn.replScratch = ids
 	now := nn.eng.Now()
 	for _, id := range ids {
 		bm := nn.blocks[id]
 		live := nn.liveReplicas(bm)
 		switch {
-		case live == 0:
-			// Missing: nothing to copy from; fsck will report it.
+		case live == 0 || live == bm.expected:
+			// Missing (nothing to copy from; fsck will report it) or
+			// settled.
+			delete(nn.replQueue, id)
 		case live < bm.expected && !nn.pendingRepl[id]:
 			if nn.replRetryAt[id] > now {
 				continue // last attempt failed; wait out the backoff
@@ -782,13 +847,14 @@ func (nn *NameNode) scheduleReplication(bm *blockMeta) bool {
 		if !ok {
 			return // file deleted meanwhile
 		}
+		nn.queueBlock(blockID)
 		if !dstDN.alive {
 			return
 		}
 		if _, err := dstDN.writeBlock(blockID, data); err != nil {
 			return
 		}
-		meta.replicas[dst] = true
+		nn.addReplica(meta, dst)
 		nn.m.replicationsCompleted.Inc()
 	})
 	return true
@@ -816,7 +882,7 @@ func (nn *NameNode) dropExcessReplica(bm *blockMeta) {
 	if victim < 0 {
 		return
 	}
-	delete(bm.replicas, victim)
+	nn.dropReplica(bm, victim)
 	nn.m.excessReplicasDropped.Inc()
 	nn.auditEv(history.EvAuditReplicaDrop, map[string]string{
 		"block": fmt.Sprint(bm.id),

@@ -175,6 +175,13 @@ type JobTracker struct {
 	jobSeq int
 	faults []TaskFault
 
+	// running is jobs filtered to jobRunning, in submission order: the
+	// JobTracker's running-job list every scheduling loop walks, so a
+	// heartbeat costs the live jobs rather than every job ever submitted.
+	// retire replaces it rather than editing it in place, because a job
+	// finishes from inside loops that are still ranging over it.
+	running []*jobRun
+
 	// containerAttempts maps a live container's ID to the attempt running
 	// inside it (YARN mode; lookup-only, never ranged).
 	containerAttempts map[int]*attempt
@@ -244,7 +251,7 @@ func (jt *JobTracker) handleTrackerLoss(tt *TaskTracker) {
 		// OnPreempted) and nothing new lands on the dead node.
 		jt.mc.cfg.YARN.SetNodeActive(tt.id, false)
 	}
-	for _, jr := range jt.jobs {
+	for _, jr := range jt.running {
 		if jr.state != jobRunning {
 			continue
 		}
@@ -489,6 +496,7 @@ func (jt *JobTracker) submit(job *mapreduce.Job) (*JobHandle, error) {
 		}
 	}
 	jt.jobs = append(jt.jobs, jr)
+	jt.running = append(jt.running, jr)
 	jt.m.jobsSubmitted.Inc()
 	jt.histEv(jr, history.EvJobSubmit, map[string]string{
 		"job": jr.id, "name": job.Name, "user": hdfs.DefaultUser,
@@ -655,7 +663,7 @@ func (jt *JobTracker) schedule() {
 		}
 		for tt.reduceSlotsUsed < jt.mc.cfg.ReduceSlotsPerNode {
 			var pick *task
-			for _, jr := range jt.jobs {
+			for _, jr := range jt.running {
 				if jr.state != jobRunning || jr.mapsDone < len(jr.maps) {
 					continue
 				}
@@ -683,7 +691,7 @@ func (jt *JobTracker) schedule() {
 }
 
 func (jt *JobTracker) pickMapTaskAtRank(tt *TaskTracker, rank int) *task {
-	for _, jr := range jt.jobs {
+	for _, jr := range jt.running {
 		if jr.state != jobRunning {
 			continue
 		}
@@ -1216,7 +1224,7 @@ func median(ds []time.Duration) time.Duration {
 
 func (jt *JobTracker) speculate() {
 	now := jt.mc.Engine.Now()
-	for _, jr := range jt.jobs {
+	for _, jr := range jt.running {
 		if jr.state != jobRunning {
 			continue
 		}
@@ -1286,6 +1294,7 @@ func (jt *JobTracker) finishJob(jr *jobRun) {
 		return
 	}
 	jr.state = jobSucceeded
+	jt.retire(jr)
 	jr.finishedAt = jt.mc.Engine.Now()
 	jt.m.jobsSucceeded.Inc()
 	jt.jobSpan(jr, "succeeded")
@@ -1295,6 +1304,21 @@ func (jt *JobTracker) finishJob(jr *jobRun) {
 		jt.mc.cfg.YARN.FinishApp(jr.app)
 	}
 	jt.schedule()
+}
+
+// retire takes a job that just left jobRunning off the running list. It
+// builds a new slice: a loop further up the stack may still be ranging
+// over the old one, and shifting its elements would make that loop skip
+// a job. Such a loop still sees the retired job, so every loop over
+// running keeps its state check.
+func (jt *JobTracker) retire(jr *jobRun) {
+	running := make([]*jobRun, 0, len(jt.running))
+	for _, r := range jt.running {
+		if r != jr {
+			running = append(running, r)
+		}
+	}
+	jt.running = running
 }
 
 // jobSpan records a job's submit-to-finish span with its outcome.
@@ -1308,6 +1332,7 @@ func (jt *JobTracker) jobSpan(jr *jobRun, outcome string) {
 
 func (jt *JobTracker) failJob(jr *jobRun, cause error) {
 	jr.state = jobFailed
+	jt.retire(jr)
 	jr.err = cause
 	jr.finishedAt = jt.mc.Engine.Now()
 	jt.m.jobsFailed.Inc()

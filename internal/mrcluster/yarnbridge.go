@@ -74,7 +74,7 @@ func (jt *JobTracker) submitApp(jr *jobRun) error {
 // schedule() pass, so demand converges within a heartbeat.
 func (jt *JobTracker) syncRequests() {
 	rm := jt.mc.cfg.YARN
-	for _, jr := range jt.jobs {
+	for _, jr := range jt.running {
 		if jr.state != jobRunning || jr.app == nil || jr.app.State != yarn.AppRunning {
 			continue
 		}
