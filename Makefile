@@ -3,15 +3,17 @@ GO ?= go
 # The concurrency-sensitive surface `make race` and `make ci` check under
 # the race detector. internal/sim is single-threaded by contract but
 # included so the detector verifies the engine's free-list never leaks
-# events across goroutines in tests.
+# events across goroutines in tests. internal/serial runs ExecuteMap on
+# parallel workers, each with its own mapreduce sort buffer.
 RACE_PKGS = ./internal/sim/... ./internal/obs/... ./internal/trace/... \
 	./internal/faultinject/... ./internal/hdfs/... ./internal/mrcluster/... \
 	./internal/iofmt/... ./internal/history/... ./internal/yarn/... \
-	./internal/kvstore/... ./internal/regionserver/...
+	./internal/kvstore/... ./internal/regionserver/... \
+	./internal/mapreduce/... ./internal/serial/...
 
 # Where `make bench` writes the committed headline-metrics artifact.
 # Each PR that re-baselines benchmarks bumps the default.
-BENCH_OUT ?= BENCH_pr10.json
+BENCH_OUT ?= BENCH_pr14.json
 
 .PHONY: build test short check race chaos bench bench-smoke ci lint lint-fast
 

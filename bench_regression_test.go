@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,7 +32,10 @@ const driftBand = 3.0
 // it. Allocation counts are near-deterministic (map growth contributes
 // small wobble), so the band is tighter than the metric driftBand: a
 // regression that doubles allocations on a hot path must regenerate the
-// artifact deliberately.
+// artifact deliberately. A rise is checked against every artifact; a fall
+// only against the newest one that records allocations, because older
+// artifacts stay committed and an allocation win could otherwise never
+// be re-baselined.
 const allocsBand = 1.5
 
 // shapeChecks encodes the qualitative claim behind each headline metric
@@ -138,31 +142,58 @@ func TestBenchRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(arts)
+	sort.Slice(arts, func(i, j int) bool { return artifactSeq(arts[i]) < artifactSeq(arts[j]) })
+	newestAllocs := ""
 	for _, path := range arts {
-		diffArtifact(t, path, rep)
+		if prev, err := readArtifact(path); err == nil && len(prev.AllocsPerOp) > 0 {
+			newestAllocs = path
+		}
+	}
+	for _, path := range arts {
+		diffArtifact(t, path, rep, path == newestAllocs)
 	}
 	if len(arts) == 0 {
 		t.Log("no committed BENCH_*.json artifacts; drift check skipped (run make bench)")
 	}
 }
 
-func diffArtifact(t *testing.T, path string, cur *experiments.HeadlineReport) {
-	t.Helper()
+// artifactSeq orders BENCH_pr<N>.json artifacts by N, so pr10 is newer
+// than pr9.
+func artifactSeq(path string) int {
+	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_pr"), ".json"))
+	if err != nil {
+		return -1
+	}
+	return n
+}
+
+func readArtifact(path string) (*experiments.HeadlineReport, error) {
 	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rep experiments.HeadlineReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, err
+	}
+	return &rep, nil
+}
+
+// diffArtifact checks cur against one committed artifact. newestAllocs
+// marks the newest artifact that records allocations, the only one an
+// allocation fall is measured against.
+func diffArtifact(t *testing.T, path string, cur *experiments.HeadlineReport, newestAllocs bool) {
+	t.Helper()
+	prev, err := readArtifact(path)
 	if err != nil {
 		t.Errorf("%s: %v", path, err)
 		return
 	}
-	var prev experiments.HeadlineReport
-	if err := json.Unmarshal(data, &prev); err != nil {
-		t.Errorf("%s: %v", path, err)
-		return
-	}
-	// Allocation gate: allocs per experiment run must stay within
-	// allocsBand of any committed artifact that records them. A speed PR
-	// that reintroduces per-record allocations fails here before it shows
-	// up as wall-clock drift.
+	// Allocation gate: allocs per experiment run may not rise by more
+	// than allocsBand over any committed artifact that records them, nor
+	// fall by more than allocsBand below the newest one. A speed PR that
+	// reintroduces per-record allocations fails here before it shows up
+	// as wall-clock drift.
 	for id, pa := range prev.AllocsPerOp {
 		ca, ok := cur.AllocsPerOp[id]
 		if !ok {
@@ -171,7 +202,7 @@ func diffArtifact(t *testing.T, path string, cur *experiments.HeadlineReport) {
 		}
 		if pa > 0 && ca > 0 {
 			ratio := ca / pa
-			if ratio > allocsBand || ratio < 1/allocsBand {
+			if ratio > allocsBand || (newestAllocs && ratio < 1/allocsBand) {
 				t.Errorf("%s: %s allocs/op drifted %.2fx (artifact %.0f, current %.0f): regenerate with `make bench` if intended",
 					path, id, ratio, pa, ca)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/iofmt"
 	"repro/internal/vfs"
@@ -109,31 +110,34 @@ func RecordsInRange(data []byte, dataStart, off, end int64) []Record {
 		}
 		pos = dataStart + scanFrom + int64(nl) + 1
 	}
-	var out []Record
-	for pos < end {
-		i := pos - dataStart
-		if i >= int64(len(data)) {
-			break
+	// The owned records end with the line holding the split's last byte
+	// (or at the end of data). One string covers them all, and every
+	// Line is a substring of it: O(1) allocations per split, not one per
+	// line.
+	lo := pos - dataStart
+	if pos >= end || lo >= int64(len(data)) {
+		return nil
+	}
+	hi := int64(len(data))
+	if last := end - 1 - dataStart; last < hi {
+		if nl := bytes.IndexByte(data[last:], '\n'); nl >= 0 {
+			hi = last + int64(nl) + 1
 		}
-		nl := bytes.IndexByte(data[i:], '\n')
-		var line []byte
-		var next int64
-		if nl < 0 {
-			line = data[i:]
-			next = dataStart + int64(len(data))
-			if len(line) == 0 {
-				break
-			}
-		} else {
-			line = data[i : i+int64(nl)]
-			next = pos + int64(nl) + 1
+	}
+	text := string(data[lo:hi])
+	n := strings.Count(text, "\n")
+	if !strings.HasSuffix(text, "\n") {
+		n++
+	}
+	out := make([]Record, n)
+	for i := range out {
+		line, adv := text, len(text)
+		if nl := strings.IndexByte(text, '\n'); nl >= 0 {
+			line, adv = text[:nl], nl+1
 		}
-		line = bytes.TrimSuffix(line, []byte{'\r'})
-		out = append(out, Record{Offset: pos, Line: string(line)})
-		pos = next
-		if nl < 0 {
-			break
-		}
+		out[i] = Record{Offset: pos, Line: strings.TrimSuffix(line, "\r")}
+		text = text[adv:]
+		pos += int64(adv)
 	}
 	return out
 }

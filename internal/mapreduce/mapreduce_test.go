@@ -379,7 +379,7 @@ func TestExecuteMapAndReduceEndToEnd(t *testing.T) {
 	fs := vfs.NewMemFS()
 	ctx := NewTaskContext("wc", "m0", fs, job)
 	records := []Record{{0, "the quick the"}, {14, "quick fox"}}
-	out, err := ExecuteMap(ctx, job, records)
+	out, err := ExecuteMap(ctx, job, records, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,14 +412,14 @@ func TestCombinerPreservesTotals(t *testing.T) {
 
 	records := []Record{{0, "a a a b b c"}}
 	ctxC := NewTaskContext("wc", "m0", fs, job)
-	outC, err := ExecuteMap(ctxC, job, records)
+	outC, err := ExecuteMap(ctxC, job, records, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	plain := wordCountJob()
 	ctxP := NewTaskContext("wc", "m0", fs, plain)
-	outP, err := ExecuteMap(ctxP, plain, records)
+	outP, err := ExecuteMap(ctxP, plain, records, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestMapperLifecycleHooks(t *testing.T) {
 	_ = hookMapper{}
 	fs := vfs.NewMemFS()
 	ctx := NewTaskContext("j", "m0", fs, job)
-	if _, err := ExecuteMap(ctx, job, []Record{{0, "x"}}); err != nil {
+	if _, err := ExecuteMap(ctx, job, []Record{{0, "x"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !setup || !closed {
@@ -539,7 +539,7 @@ func TestSpillBoundedBufferSameAnswer(t *testing.T) {
 		job.NewCombiner = job.NewReducer
 		job.SpillRecords = spillAt
 		ctx := NewTaskContext("wc", "m0", fs, job)
-		out, err := ExecuteMap(ctx, job, records)
+		out, err := ExecuteMap(ctx, job, records, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -571,7 +571,7 @@ func TestSpillEachWindowCombined(t *testing.T) {
 	job.NewCombiner = job.NewReducer
 	job.SpillRecords = 1
 	ctx := NewTaskContext("wc", "m0", fs, job)
-	out, err := ExecuteMap(ctx, job, []Record{{0, "x x x y"}})
+	out, err := ExecuteMap(ctx, job, []Record{{0, "x x x y"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

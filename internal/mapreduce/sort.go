@@ -1,112 +1,5 @@
 package mapreduce
 
-import (
-	"slices"
-	"strings"
-)
-
-// keyIndex is the sort key the shuffle actually orders by: the record's
-// key plus its emission index. Sorting these 24-byte headers (instead of
-// swapping full Pair structs through a reflective comparator, as the old
-// sort.SliceStable implementation did) keeps the hot comparison loop in
-// cache and makes an unstable pattern-defeating quicksort equivalent to a
-// stable sort — the index breaks every tie deterministically.
-type keyIndex struct {
-	key string
-	i   int32
-}
-
-// SortPairs orders pairs by key. Equal keys keep their emission order so
-// that values for a key arrive at the reducer deterministically, which
-// several of the course jobs rely on.
-//
-// Two strategies produce that order. The general path sorts (key, index)
-// headers. Duplicate-heavy outputs — counting jobs emit each word
-// thousands of times — instead group by key first and sort only the
-// distinct keys, turning an O(n log n) comparison sort into O(u log u)
-// for u unique keys plus two linear passes. A small sample of the input
-// picks the strategy; both yield byte-identical results.
-func SortPairs(pairs []Pair) {
-	n := len(pairs)
-	if n < 2 {
-		return
-	}
-	if n >= dupSampleMinLen && looksDuplicateHeavy(pairs) {
-		groupSortPairs(pairs)
-		return
-	}
-	idx := make([]keyIndex, n)
-	for i, p := range pairs {
-		idx[i] = keyIndex{key: p.Key, i: int32(i)}
-	}
-	slices.SortFunc(idx, func(a, b keyIndex) int {
-		if c := strings.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return int(a.i) - int(b.i)
-	})
-	tmp := make([]Pair, n)
-	for i, k := range idx {
-		tmp[i] = pairs[k.i]
-	}
-	copy(pairs, tmp)
-}
-
-const (
-	dupSampleMinLen = 512 // below this the direct sort always wins
-	dupSampleSize   = 64
-)
-
-// looksDuplicateHeavy samples evenly spaced keys and reports whether the
-// sample repeats keys enough to justify the grouped sort. It is only a
-// performance heuristic: either answer leaves the sorted output identical.
-func looksDuplicateHeavy(pairs []Pair) bool {
-	seen := make(map[string]struct{}, dupSampleSize)
-	step := len(pairs) / dupSampleSize
-	for i := 0; i < dupSampleSize; i++ {
-		seen[pairs[i*step].Key] = struct{}{}
-	}
-	return len(seen) <= dupSampleSize*3/4
-}
-
-// groupSortPairs is the duplicate-heavy strategy: assign each distinct
-// key a group, sort the groups, then scatter the pairs into their group's
-// output window in emission order.
-func groupSortPairs(pairs []Pair) {
-	n := len(pairs)
-	gids := make([]int32, n)
-	gidOf := make(map[string]int32, 64)
-	var groups []keyIndex // key plus its group id
-	var counts []int32
-	for i, p := range pairs {
-		g, ok := gidOf[p.Key]
-		if !ok {
-			g = int32(len(groups))
-			gidOf[p.Key] = g
-			groups = append(groups, keyIndex{key: p.Key, i: g})
-			counts = append(counts, 0)
-		}
-		gids[i] = g
-		counts[g]++
-	}
-	slices.SortFunc(groups, func(a, b keyIndex) int {
-		return strings.Compare(a.key, b.key) // keys are distinct: no ties
-	})
-	offs := make([]int32, len(groups))
-	var off int32
-	for _, g := range groups {
-		offs[g.i] = off
-		off += counts[g.i]
-	}
-	tmp := make([]Pair, n)
-	for i, p := range pairs {
-		g := gids[i]
-		tmp[offs[g]] = p
-		offs[g]++
-	}
-	copy(pairs, tmp)
-}
-
 // mergeCursor is one run's head position inside the k-way merge heap.
 type mergeCursor struct {
 	run int // index into runs, the deterministic tie-breaker
@@ -226,13 +119,18 @@ func MergeSortedRuns(runs [][]Pair) []Pair {
 
 // Values iterates the decoded values of one reduce group. It decodes
 // lazily so the raw (metered) bytes are what travelled through the
-// shuffle. The backing store is either an explicit [][]byte (NewValues)
-// or a window of the sorted pair slice (GroupIterate), the latter so the
-// group loop allocates nothing per group.
+// shuffle. The backing store is an explicit [][]byte (NewValues), a
+// window of the sorted pair slice (GroupIterate), or a key group of a
+// map task's sort buffer (the combine pass); the latter two let the group
+// loop allocate nothing per group. A combiner's Values, and the bytes its
+// values decode from, are valid only during its Reduce call: the sort
+// buffer reuses both.
 type Values struct {
 	decode ValueDecoder
 	raw    [][]byte
 	pairs  []Pair
+	arena  *kvArena
+	meta   []kvMeta
 	i      int
 }
 
@@ -245,6 +143,11 @@ func NewValues(decode ValueDecoder, raw [][]byte) *Values {
 func (v *Values) Next() (Value, bool, error) {
 	var enc []byte
 	switch {
+	case v.meta != nil:
+		if v.i >= len(v.meta) {
+			return nil, false, nil
+		}
+		enc = v.arena.val(v.meta[v.i])
 	case v.pairs != nil:
 		if v.i >= len(v.pairs) {
 			return nil, false, nil
@@ -282,6 +185,9 @@ func (v *Values) Each(fn func(Value) error) error {
 
 // Len returns the total number of values in the group.
 func (v *Values) Len() int {
+	if v.meta != nil {
+		return len(v.meta)
+	}
 	if v.pairs != nil {
 		return len(v.pairs)
 	}
@@ -318,37 +224,4 @@ func GroupIterateBy(sorted []Pair, decode ValueDecoder, groupKey func(string) st
 		i = j
 	}
 	return nil
-}
-
-// pairCollector is an Emitter that appends encoded pairs to a slice.
-type pairCollector struct {
-	pairs []Pair
-}
-
-func (p *pairCollector) Emit(key string, value Value) error {
-	p.pairs = append(p.pairs, Pair{Key: key, Val: value.EncodeValue()})
-	return nil
-}
-
-// RunCombiner applies the job's combiner to a sorted partition of map
-// output, returning the (sorted) combined pairs and updating the combine
-// counters. With no combiner configured it returns the input unchanged.
-func RunCombiner(ctx *TaskContext, job *Job, sorted []Pair) ([]Pair, error) {
-	if job.NewCombiner == nil {
-		return sorted, nil
-	}
-	combiner := job.NewCombiner()
-	col := &pairCollector{}
-	var inRecords int64
-	err := GroupIterate(sorted, job.DecodeValue, func(key string, values *Values) error {
-		inRecords += int64(values.Len())
-		return combiner.Reduce(ctx, key, values, col)
-	})
-	ctx.Counters.Inc(CtrCombineInputRecords, inRecords)
-	if err != nil {
-		return nil, err
-	}
-	ctx.Counters.Inc(CtrCombineOutputRecords, int64(len(col.pairs)))
-	SortPairs(col.pairs)
-	return col.pairs, nil
 }

@@ -33,37 +33,38 @@ func (m *MapOutput) Records() int64 {
 }
 
 // ExecuteMap runs one map task over its records: Setup, Map per record,
-// Close, then partition, sort and combine — spilling the sort buffer
-// whenever it exceeds the job's SpillRecords bound, exactly as a full
-// io.sort buffer forces a Hadoop map task to spill mid-run. Both runtimes
-// call this; they differ only in how they fetch the records and where the
-// output lives.
-func ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*MapOutput, error) {
+// Close, then partition, sort and combine, spilling the sort buffer
+// whenever it holds the job's SpillRecords, exactly as a full io.sort
+// buffer forces a Hadoop map task to spill mid-run. Both runtimes call
+// this; they differ only in how they fetch the records and where the
+// output lives. b is the caller's sort buffer, reused across calls
+// (nil runs the task on a fresh one).
+func ExecuteMap(ctx *TaskContext, job *Job, records []Record, b *SortBuffer) (*MapOutput, error) {
+	if b == nil {
+		b = new(SortBuffer)
+	}
+	defer b.release()
 	mapper := job.NewMapper()
 	nParts := job.Reducers()
 	part := job.Partitioner()
+	b.kv.reset()
 
-	// spills[p] holds the sorted+combined runs already flushed for
-	// partition p; buffer holds unsorted pairs not yet spilled.
+	// spills[p] holds the sorted, combined runs already flushed for
+	// partition p, one per spill in which p received records.
 	spills := make([][][]Pair, nParts)
-	buffer := make([][]Pair, nParts)
-	buffered := 0
-
 	spill := func() error {
-		for p, pairs := range buffer {
-			if len(pairs) == 0 {
-				continue
-			}
-			SortPairs(pairs)
-			combined, err := RunCombiner(ctx, job, pairs)
-			if err != nil {
-				return fmt.Errorf("combiner: %w", err)
-			}
-			spills[p] = append(spills[p], combined)
-			ctx.Counters.Inc(CtrSpilledRecords, int64(len(combined)))
-			buffer[p] = nil
+		if len(b.kv.meta) == 0 {
+			return nil
 		}
-		buffered = 0
+		if err := b.flush(ctx, job, nParts, false); err != nil {
+			return err
+		}
+		for p, n := range b.parts {
+			if n > 0 {
+				spills[p] = append(spills[p], b.run[p])
+			}
+		}
+		b.kv.reset()
 		return nil
 	}
 
@@ -76,12 +77,13 @@ func ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*MapOutput, error
 		if p < 0 || p >= nParts {
 			return fmt.Errorf("mapreduce: partitioner returned %d for %d reducers", p, nParts)
 		}
-		pair := Pair{Key: key, Val: value.EncodeValue()}
-		buffer[p] = append(buffer[p], pair)
-		buffered++
+		val := value.EncodeValue()
+		if err := b.kv.add(p, key, val); err != nil {
+			return err
+		}
 		outRecords++
-		outBytes += pair.Bytes()
-		if job.SpillRecords > 0 && buffered >= job.SpillRecords {
+		outBytes += int64(len(key) + len(val))
+		if job.SpillRecords > 0 && len(b.kv.meta) >= job.SpillRecords {
 			return spill()
 		}
 		return nil
@@ -113,22 +115,33 @@ func ExecuteMap(ctx *TaskContext, job *Job, records []Record) (*MapOutput, error
 		return nil, err
 	}
 
-	// Merge the spill runs per partition; a multi-spill merge re-combines
-	// so each final partition holds at most one pair per combined key.
+	// A partition spilled once keeps its run. Runs of a partition spilled
+	// several times are reloaded into the buffer in spill order and
+	// flushed once more: the sort's emission-offset tie-break merges them
+	// with ties in spill order, and the combiner runs again so each final
+	// partition holds at most one pair per combined key.
 	out := &MapOutput{Partitions: make([][]Pair, nParts)}
 	for p, runs := range spills {
-		switch len(runs) {
-		case 0:
-			out.Partitions[p] = nil
-		case 1:
+		if len(runs) == 1 {
 			out.Partitions[p] = runs[0]
-		default:
-			merged := MergeSortedRuns(runs)
-			combined, err := RunCombiner(ctx, job, merged)
-			if err != nil {
-				return nil, fmt.Errorf("merge combiner: %w", err)
+			continue
+		}
+		for _, run := range runs {
+			for _, kv := range run {
+				if err := b.kv.add(p, kv.Key, kv.Val); err != nil {
+					return nil, err
+				}
 			}
-			out.Partitions[p] = combined
+		}
+	}
+	if len(b.kv.meta) > 0 {
+		if err := b.flush(ctx, job, nParts, true); err != nil {
+			return nil, err
+		}
+		for p, runs := range spills {
+			if len(runs) > 1 {
+				out.Partitions[p] = b.run[p]
+			}
 		}
 	}
 	return out, nil

@@ -189,6 +189,11 @@ type JobTracker struct {
 	// m holds the JobTracker's interned metric handles (see metrics.go);
 	// spans land on the cluster's shared registry.
 	m jtMetrics
+
+	// sortBuf is the map-side sort buffer every map attempt runs on. One
+	// suffices: attempts execute synchronously on the simulation thread
+	// (startMapAttempt), in slot and YARN mode alike.
+	sortBuf mapreduce.SortBuffer
 }
 
 // TotalTrackerLosses reports how many TaskTracker losses the JobTracker
@@ -791,7 +796,7 @@ func (jt *JobTracker) startMapAttempt(t *task, tt *TaskTracker, speculative bool
 	if err == nil {
 		ctx.Counters.Inc(mapreduce.CtrInputDecodedBytes, rstats.BytesDecoded)
 		jt.m.inputDecodedBytes.Add(rstats.BytesDecoded)
-		out, err = mapreduce.ExecuteMap(ctx, jr.job, records)
+		out, err = mapreduce.ExecuteMap(ctx, jr.job, records, &jt.sortBuf)
 	}
 
 	readCost := client.Meter.ReadTime

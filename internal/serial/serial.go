@@ -78,37 +78,44 @@ func (r *Runner) Run(job *mapreduce.Job) (*Report, error) {
 	nReduce := job.Reducers()
 
 	// Map phase: each task owns its context and counters; results are
-	// merged afterwards so there is no cross-task locking.
+	// merged afterwards, in split order, so there is no cross-task
+	// locking. A fixed pool of Parallelism workers drains the splits, each
+	// worker running its tasks on its own sort buffer.
 	type mapResult struct {
 		out *mapreduce.MapOutput
 		ctx *mapreduce.TaskContext
 		err error
 	}
 	results := make([]mapResult, len(splits))
-	par := r.Parallelism
-	if par <= 0 {
-		par = 1
+	runMap := func(i int, buf *mapreduce.SortBuffer) mapResult {
+		split := splits[i]
+		ctx := mapreduce.NewTaskContext(job.Name, fmt.Sprintf("attempt_m_%06d_0", i), r.FS, job)
+		recs, rstats, err := mapreduce.ReadSplitRecords(r.FS, split)
+		if err != nil {
+			return mapResult{err: fmt.Errorf("split %v: %w", split, err)}
+		}
+		ctx.Counters.Inc(mapreduce.CtrFileBytesRead, rstats.BytesRead)
+		ctx.Counters.Inc(mapreduce.CtrInputDecodedBytes, rstats.BytesDecoded)
+		out, err := mapreduce.ExecuteMap(ctx, job, recs, buf)
+		return mapResult{out: out, ctx: ctx, err: err}
 	}
+	workers := min(max(r.Parallelism, 1), len(splits))
+	taskCh := make(chan int)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, par)
-	for i, split := range splits {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(i int, split mapreduce.FileSplit) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ctx := mapreduce.NewTaskContext(job.Name, fmt.Sprintf("attempt_m_%06d_0", i), r.FS, job)
-			recs, rstats, err := mapreduce.ReadSplitRecords(r.FS, split)
-			if err != nil {
-				results[i] = mapResult{err: fmt.Errorf("split %v: %w", split, err)}
-				return
+			var buf mapreduce.SortBuffer
+			for i := range taskCh {
+				results[i] = runMap(i, &buf)
 			}
-			ctx.Counters.Inc(mapreduce.CtrFileBytesRead, rstats.BytesRead)
-			ctx.Counters.Inc(mapreduce.CtrInputDecodedBytes, rstats.BytesDecoded)
-			out, err := mapreduce.ExecuteMap(ctx, job, recs)
-			results[i] = mapResult{out: out, ctx: ctx, err: err}
-		}(i, split)
+		}()
 	}
+	for i := range splits {
+		taskCh <- i
+	}
+	close(taskCh)
 	wg.Wait()
 	runsByPartition := make([][][]mapreduce.Pair, nReduce)
 	for _, res := range results {

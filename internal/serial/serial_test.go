@@ -160,6 +160,42 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+func TestParallelCountersMatchSerial(t *testing.T) {
+	// The worker pool reuses one sort buffer per worker across splits;
+	// whatever split lands on whichever worker, the job's counters (spills
+	// and combines included) must equal the one-worker run's.
+	var b strings.Builder
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&b, "w%d alpha beta w%d alpha\n", i%23, i%3)
+	}
+	var reports []string
+	for _, par := range []int{1, 3, 64} {
+		fs := vfs.NewMemFS()
+		if err := vfs.WriteFile(fs, "/in/data.txt", []byte(b.String())); err != nil {
+			t.Fatal(err)
+		}
+		job := wordCountJob("/in", "/out")
+		job.NewCombiner = job.NewReducer
+		job.SpillRecords = 40
+		job.SplitSize = 512
+		job.NumReducers = 2
+		rep, err := (&Runner{FS: fs, Parallelism: par}).Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ReadOutput(fs, "/out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, rep.String()+out)
+	}
+	for i := 1; i < len(reports); i++ {
+		if reports[i] != reports[0] {
+			t.Fatalf("parallelism changed the run:\n%s\nvs\n%s", reports[i], reports[0])
+		}
+	}
+}
+
 func TestMultipleReducersPartitionDisjointly(t *testing.T) {
 	fs := vfs.NewMemFS()
 	if err := vfs.WriteFile(fs, "/in/f.txt", []byte("a b c d e f g h\n")); err != nil {
