@@ -73,11 +73,15 @@ bench-smoke:
 
 # The gate a PR must pass end to end: vet, lint, build, tier-1 tests,
 # the race-checked RACE_PKGS, the goldens again at one CPU (same seed,
-# same bytes at any GOMAXPROCS), a benchmark smoke run, and the tests of the
-# nested perfbench module (which `go test ./...` at the root never
-# builds, so an API it calls could otherwise vanish unnoticed). Static
-# gates (vet, lint) come before tests so a determinism violation fails
-# the build even when no test happens to exercise it.
+# same bytes at any GOMAXPROCS), the fuzz targets of the SequenceFile,
+# codec, trace-export and job-history parsers (the job-record targets
+# cap input minimization at 100 runs, so their 5 s go to new inputs
+# rather than to shrinking the first long one), a benchmark smoke run,
+# and the tests of the nested perfbench module (which `go test ./...` at
+# the root never builds, so an API it calls could otherwise vanish
+# unnoticed). Static gates (vet, lint) come before tests so a
+# determinism violation fails the build even when no test happens to
+# exercise it.
 ci: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/minilint ./internal/... ./cmd/...
@@ -90,5 +94,7 @@ ci: build
 	$(GO) test -run '^$$' -fuzz FuzzSeqSplit -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzSeqReadCorrupt -fuzztime 5s ./internal/iofmt/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/iofmt/
+	$(GO) test -run '^$$' -fuzz FuzzTraceParse -fuzztime 5s -fuzzminimizetime 100x ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzHistoryParse -fuzztime 5s -fuzzminimizetime 100x ./internal/history/
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 	cd perfbench && $(GO) test ./...

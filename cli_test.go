@@ -3,11 +3,15 @@
 package repro_test
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // runCmd runs `go run ./cmd/<name> args...` with optional stdin.
@@ -135,6 +139,69 @@ func TestCLIMrhistory(t *testing.T) {
 	}
 	if out != string(want) {
 		t.Fatalf("-analyze drifted from the pinned report:\ngot:\n%s\nwant:\n%s", out, want)
+	}
+}
+
+// TestCLIMrhistoryTrace lays out a job directory holding both durable
+// records of the same seed-42 run — events.jsonl and trace.jsonl — and
+// checks that -analyze prints the pinned history report followed by the
+// trace's waterfall, critical path and blame, exactly as the shared
+// renderer draws them.
+func TestCLIMrhistoryTrace(t *testing.T) {
+	const jobID = "job_wordcount_combiner_0001"
+	testdata := filepath.Join("internal", "jobs", "testdata")
+	dir := t.TempDir()
+	jobDir := filepath.Join(dir, jobID)
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var spans []obs.Span
+	for golden, name := range map[string]string{
+		"golden_history_events.jsonl":  "events.jsonl",
+		"golden_wordcount_trace.jsonl": "trace.jsonl",
+	} {
+		data, err := os.ReadFile(filepath.Join(testdata, golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(jobDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if name == "trace.jsonl" {
+			if spans, err = trace.Parse(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	report, err := os.ReadFile(filepath.Join(testdata, "golden_history_report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waterfall, err := trace.Waterfall(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := runCmd(t, "", "mrhistory", "-dir", dir, "-job", jobID, "-analyze")
+	if !strings.HasPrefix(out, string(report)) {
+		t.Fatalf("-analyze does not start with the pinned report:\n%s", out)
+	}
+	if !strings.HasSuffix(out, waterfall) {
+		t.Fatalf("-analyze does not end with the trace waterfall:\ngot:\n%s\nwant suffix:\n%s", out, waterfall)
+	}
+
+	// A trace whose two spans are each other's parent has no root: the
+	// reader must refuse it, not crash.
+	cyc := `{"name":"a","start_ns":0,"end_ns":1,"trace":"t1","span":1,"parent":2}
+{"name":"b","start_ns":0,"end_ns":1,"trace":"t1","span":2,"parent":1}
+`
+	if err := os.WriteFile(filepath.Join(jobDir, "trace.jsonl"), []byte(cyc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("go", "run", "./cmd/mrhistory", "-dir", dir, "-job", jobID, "-analyze")
+	msg, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(msg), "malformed") || strings.Contains(string(msg), "panic") {
+		t.Fatalf("cyclic trace: err %v, output:\n%s", err, msg)
 	}
 }
 

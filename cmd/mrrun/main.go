@@ -41,7 +41,7 @@ func main() {
 	metrics := flag.String("metrics", "", "write the obs metrics/spans snapshot to this JSON file")
 	histDir := flag.String("history", "", "cluster mode: export the /history job-history tree to this host directory (read it with mrhistory)")
 	slowNode := flag.Int("slow-node", -1, "cluster mode: make this node a straggler (task durations multiplied by -slow-factor)")
-	slowDisk := flag.Int("slow-disk", -1, "cluster mode: make this node's DISK a straggler (block read/write times multiplied by -slow-factor; find it with mrtrace)")
+	slowDisk := flag.Int("slow-disk", -1, "cluster mode: make this node's DISK a straggler (block read/write times multiplied by -slow-factor; find it with mrhistory -analyze)")
 	slowFactor := flag.Float64("slow-factor", 8, "cluster mode: straggler slowdown factor for -slow-node / -slow-disk")
 	speculative := flag.Bool("speculative", false, "cluster mode: enable speculative execution of straggling tasks")
 	yarnMode := flag.Bool("yarn", false, "cluster mode: run the JobTracker as a YARN application (containers negotiated from the ResourceManager)")
@@ -155,7 +155,7 @@ func main() {
 				fatal(fmt.Errorf("exporting job history: %w", err))
 			}
 			fmt.Printf("Job history copied to %s (inspect with: go run ./cmd/mrhistory -dir %s -list)\n", histAbs, *histDir)
-			fmt.Printf("Trace exports are beside each job's events: go run ./cmd/mrtrace -file %s/<jobid>/trace.jsonl -list\n", *histDir)
+			fmt.Printf("Each job's trace export sits beside its events: go run ./cmd/mrhistory -dir %s -job <jobid> -analyze\n", *histDir)
 		}
 		writeMetrics(c.Obs, *metrics)
 	default:

@@ -17,6 +17,7 @@ package history
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -152,8 +153,12 @@ func Marshal(events []Event) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// ErrMalformed marks an event log that Parse cannot decode or that
+// BuildJobReport cannot reconstruct a job from.
+var ErrMalformed = errors.New("history: malformed event log")
+
 // Parse decodes a JSONL event log (the inverse of Marshal; blank lines
-// are skipped, so a trailing newline is fine).
+// are skipped, so a trailing newline is fine). Errors wrap ErrMalformed.
 func Parse(data []byte) ([]Event, error) {
 	var out []Event
 	for i, line := range bytes.Split(data, []byte("\n")) {
@@ -162,7 +167,10 @@ func Parse(data []byte) ([]Event, error) {
 		}
 		var e Event
 		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("history: line %d: %w", i+1, err)
+			return nil, fmt.Errorf("%w: line %d: %w", ErrMalformed, i+1, err)
+		}
+		if len(e.Attrs) == 0 {
+			e.Attrs = nil // what Marshal's omitempty reads back as
 		}
 		out = append(out, e)
 	}

@@ -1,6 +1,10 @@
 package history
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -76,7 +80,7 @@ func sampleJob() []Event {
 	j := "job_wc_0001"
 	a := func(task, seq string) string { return "attempt_" + task + "_" + seq }
 	m0, m1 := "task_"+j+"_m_000000", "task_"+j+"_m_000001"
-	r0 := "task_"+j+"_r_000000"
+	r0 := "task_" + j + "_r_000000"
 	return []Event{
 		{TS: ms(0), Type: EvJobSubmit, Attrs: map[string]string{"job": j, "name": "wc", "user": "student"}},
 		{TS: ms(0), Type: EvJobInit, Attrs: map[string]string{"job": j, "maps": "2", "reduces": "1"}},
@@ -183,43 +187,71 @@ func TestAnalysisStringMentionsEverything(t *testing.T) {
 }
 
 func TestBuildJobReportErrors(t *testing.T) {
-	if _, err := BuildJobReport(nil); err == nil {
-		t.Fatal("want error for empty log")
+	if _, err := BuildJobReport(nil); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("empty log: err = %v, want ErrMalformed", err)
 	}
 	bad := []Event{
 		{TS: 0, Type: EvJobSubmit, Attrs: map[string]string{"job": "j"}},
 		{TS: 1, Type: EvAttemptFinish, Attrs: map[string]string{"attempt": "ghost"}},
 	}
-	if _, err := BuildJobReport(bad); err == nil {
-		t.Fatal("want error for finish without start")
+	if _, err := BuildJobReport(bad); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("finish without start: err = %v, want ErrMalformed", err)
+	}
+	twice := []Event{
+		{TS: 0, Type: EvJobSubmit, Attrs: map[string]string{"job": "j"}},
+		{TS: 1, Type: EvAttemptStart, Attrs: map[string]string{"attempt": "a", "kind": "map"}},
+		{TS: 2, Type: EvAttemptStart, Attrs: map[string]string{"attempt": "a", "kind": "map"}},
+	}
+	if _, err := BuildJobReport(twice); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("attempt started twice: err = %v, want ErrMalformed", err)
 	}
 }
 
-func TestEventsFromSpans(t *testing.T) {
-	spans := []obs.Span{
-		{Name: "mr.job", Start: ms(0), End: ms(300), Attrs: map[string]string{"job": "job_wc_0001", "name": "wc", "outcome": "succeeded"}},
-		{Name: "mr.map_attempt", Start: ms(10), End: ms(60), Attrs: map[string]string{"attempt": "attempt_task_job_wc_0001_m_000000_0", "job": "job_wc_0001", "node": "node0", "locality": "0", "outcome": "succeeded"}},
-		{Name: "mr.map_attempt", Start: ms(10), End: ms(80), Attrs: map[string]string{"attempt": "attempt_task_job_wc_0001_m_000001_0", "job": "job_wc_0001", "node": "node1", "locality": "2", "outcome": "failed"}},
-		{Name: "mr.reduce_attempt", Start: ms(90), End: ms(200), Attrs: map[string]string{"attempt": "attempt_task_job_wc_0001_r_000000_0", "job": "job_wc_0001", "node": "node0", "outcome": "killed:speculative loser"}},
+// FuzzHistoryParse drives hostile event logs through the whole read
+// path — Parse, BuildJobReport, AnalysisString, SummaryString — which
+// must not panic, must fail only with ErrMalformed, and must read back
+// exactly what Marshal writes for any log it accepts.
+func FuzzHistoryParse(f *testing.F) {
+	for _, name := range []string{"golden_history_events.jsonl", "golden_audit.jsonl"} {
+		data, err := os.ReadFile(filepath.Join("..", "jobs", "testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	evs := EventsFromSpans(spans)
-	var types []string
-	for _, e := range evs {
-		types = append(types, e.Type)
+	sample, err := Marshal(sampleJob())
+	if err != nil {
+		f.Fatal(err)
 	}
-	want := []string{
-		EvJobSubmit, EvAttemptStart, EvAttemptStart,
-		EvAttemptFinish, EvAttemptFail, EvAttemptStart, EvAttemptKill, EvJobFinish,
-	}
-	if strings.Join(types, ",") != strings.Join(want, ",") {
-		t.Fatalf("types = %v, want %v", types, want)
-	}
-	// Task ID recovered from attempt ID.
-	if evs[1].Attrs["task"] != "task_job_wc_0001_m_000000" {
-		t.Fatalf("task attr: %v", evs[1].Attrs)
-	}
-	// Kill reason parsed from "killed:<reason>" outcome.
-	if evs[6].Attrs["reason"] != "speculative loser" {
-		t.Fatalf("kill reason: %v", evs[6].Attrs)
-	}
+	f.Add(sample)
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := Parse(data)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("untyped Parse error: %v", err)
+			}
+			return
+		}
+		out, err := Marshal(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("Parse(Marshal(events)): %v", err)
+		}
+		if !reflect.DeepEqual(events, again) {
+			t.Fatalf("round trip changed the events:\n%+v\n%+v", events, again)
+		}
+		rep, err := BuildJobReport(events)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("untyped BuildJobReport error: %v", err)
+			}
+			return
+		}
+		_ = rep.AnalysisString()
+		_ = rep.SummaryString()
+	})
 }

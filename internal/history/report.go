@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // AttemptInfo is one task attempt reconstructed from a job-history file.
@@ -71,6 +69,7 @@ type JobReport struct {
 func (r *JobReport) Makespan() time.Duration { return r.Finished - r.Submitted }
 
 // BuildJobReport reconstructs a report from one job's parsed events.
+// Errors wrap ErrMalformed.
 func BuildJobReport(events []Event) (*JobReport, error) {
 	r := &JobReport{Counters: map[string]int64{}}
 	attempts := map[string]*AttemptInfo{}
@@ -98,6 +97,9 @@ func BuildJobReport(events []Event) (*JobReport, error) {
 			}
 		case EvAttemptStart:
 			id := e.Attrs["attempt"]
+			if attempts[id] != nil {
+				return nil, fmt.Errorf("%w: attempt %q started twice", ErrMalformed, id)
+			}
 			a := &AttemptInfo{
 				ID:          id,
 				Task:        e.Attrs["task"],
@@ -120,7 +122,7 @@ func BuildJobReport(events []Event) (*JobReport, error) {
 		case EvAttemptFinish, EvAttemptFail, EvAttemptKill:
 			a := attempts[e.Attrs["attempt"]]
 			if a == nil {
-				return nil, fmt.Errorf("history: %s for unknown attempt %q", e.Type, e.Attrs["attempt"])
+				return nil, fmt.Errorf("%w: %s for unknown attempt %q", ErrMalformed, e.Type, e.Attrs["attempt"])
 			}
 			a.End = e.TS
 			switch e.Type {
@@ -136,7 +138,7 @@ func BuildJobReport(events []Event) (*JobReport, error) {
 		}
 	}
 	if r.JobID == "" {
-		return nil, fmt.Errorf("history: no %s event in log", EvJobSubmit)
+		return nil, fmt.Errorf("%w: no %s event in log", ErrMalformed, EvJobSubmit)
 	}
 	for _, id := range order {
 		r.Attempts = append(r.Attempts, *attempts[id])
@@ -353,69 +355,4 @@ func (r *JobReport) SummaryString() string {
 		}
 	}
 	return b.String()
-}
-
-// EventsFromSpans bridges the live obs span tracer into history events:
-// mr.job and mr.*_attempt spans become the same job.*/attempt.* records
-// the JobTracker's history producer persists. The bridge lets a registry
-// snapshot be analyzed with the same JobReport tooling when no history
-// file was written (e.g. a run that died before job completion), and the
-// golden-history test uses it to prove the two pipelines agree.
-func EventsFromSpans(spans []obs.Span) []Event {
-	var out []Event
-	for _, s := range spans {
-		switch s.Name {
-		case "mr.job":
-			out = append(out,
-				Event{TS: s.Start, Type: EvJobSubmit, Attrs: map[string]string{
-					"job": s.Attrs["job"], "name": s.Attrs["name"],
-				}},
-				Event{TS: s.End, Type: EvJobFinish, Attrs: map[string]string{
-					"job": s.Attrs["job"], "outcome": s.Attrs["outcome"],
-				}})
-		case "mr.map_attempt", "mr.reduce_attempt":
-			kind := "reduce"
-			if s.Name == "mr.map_attempt" {
-				kind = "map"
-			}
-			start := map[string]string{
-				"attempt": s.Attrs["attempt"],
-				"job":     s.Attrs["job"],
-				"task":    taskOfAttempt(s.Attrs["attempt"]),
-				"kind":    kind,
-				"node":    s.Attrs["node"],
-			}
-			if l, ok := s.Attrs["locality"]; ok {
-				start["locality"] = l
-			}
-			if s.Attrs["speculative"] == "true" {
-				start["speculative"] = "true"
-			}
-			out = append(out, Event{TS: s.Start, Type: EvAttemptStart, Attrs: start})
-			end := map[string]string{"attempt": s.Attrs["attempt"], "job": s.Attrs["job"]}
-			typ := EvAttemptFinish
-			switch outcome := s.Attrs["outcome"]; {
-			case outcome == "failed":
-				typ = EvAttemptFail
-			case strings.HasPrefix(outcome, "killed"):
-				typ = EvAttemptKill
-				if _, reason, ok := strings.Cut(outcome, ":"); ok {
-					end["reason"] = reason
-				}
-			}
-			out = append(out, Event{TS: s.End, Type: typ, Attrs: end})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
-	return out
-}
-
-// taskOfAttempt strips the "attempt_" prefix and "_<seq>" suffix from an
-// attempt ID, recovering its task ID.
-func taskOfAttempt(id string) string {
-	s, _ := strings.CutPrefix(id, "attempt_")
-	if i := strings.LastIndex(s, "_"); i > 0 {
-		s = s[:i]
-	}
-	return s
 }

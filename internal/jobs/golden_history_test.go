@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/hdfs"
 	"repro/internal/history"
 	"repro/internal/jobs"
+	"repro/internal/mrcluster"
+	"repro/internal/obs"
 	"repro/internal/vfs"
 )
 
@@ -99,8 +102,10 @@ func TestGoldenJobHistory(t *testing.T) {
 
 // TestHistoryMatchesSpans cross-validates the two independent records of
 // the same run: the job-history file the JobTracker wrote into HDFS and
-// the span store the obs layer collected. Rebuilding attempt timelines
-// from each must give the same answer.
+// the span store the obs layer collected. Every attempt BuildJobReport
+// rebuilds from the file must equal, field by field, the one its live
+// mr.map_attempt / mr.reduce_attempt span describes; the report's
+// critical path is a function of those attempts alone, so it agrees too.
 func TestHistoryMatchesSpans(t *testing.T) {
 	_, events, _, c := historyRun(t)
 	parsed, err := history.Parse(events)
@@ -111,29 +116,54 @@ func TestHistoryMatchesSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSpans, err := history.BuildJobReport(history.EventsFromSpans(c.Obs.Spans()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromSpans.Attempts) != len(fromFile.Attempts) {
-		t.Fatalf("span bridge saw %d attempts, history file %d", len(fromSpans.Attempts), len(fromFile.Attempts))
-	}
-	for i := range fromFile.Attempts {
-		hf, sp := fromFile.Attempts[i], fromSpans.Attempts[i]
-		if hf.ID != sp.ID || hf.Node != sp.Node || hf.Start != sp.Start || hf.End != sp.End || hf.Outcome != sp.Outcome {
-			t.Fatalf("attempt %d disagrees:\n  file: %+v\n  span: %+v", i, hf, sp)
+	spans := c.Obs.Spans()
+	byID := map[obs.SpanID]obs.Span{}
+	for _, s := range spans {
+		if s.ID != 0 {
+			byID[s.ID] = s
 		}
 	}
-	// The critical path — the chain of attempts bounding job completion —
-	// must be identical however the timeline was reconstructed.
-	pathIDs := func(r *history.JobReport) []string {
-		var ids []string
-		for _, a := range r.CriticalPath() {
-			ids = append(ids, a.ID)
+	kinds := map[string]string{mrcluster.SpanMapAttempt: "map", mrcluster.SpanReduceAttempt: "reduce"}
+	live := map[string]history.AttemptInfo{}
+	for _, s := range spans {
+		kind, ok := kinds[s.Name]
+		if !ok {
+			continue
 		}
-		return ids
+		a := history.AttemptInfo{
+			ID:          s.Attrs["attempt"],
+			Task:        byID[s.Parent].Attrs["task"],
+			Kind:        kind,
+			Node:        s.Attrs["node"],
+			Locality:    -1,
+			Speculative: s.Attrs["speculative"] == "true",
+			Start:       s.Start,
+			End:         s.End,
+		}
+		a.Outcome, a.Reason, _ = strings.Cut(s.Attrs["outcome"], ":")
+		if l, ok := s.Attrs["locality"]; ok {
+			a.Locality, _ = strconv.Atoi(l)
+		}
+		live[a.ID] = a
 	}
-	if !reflect.DeepEqual(pathIDs(fromFile), pathIDs(fromSpans)) {
-		t.Fatalf("critical paths disagree:\n  file: %v\n  span: %v", pathIDs(fromFile), pathIDs(fromSpans))
+	for _, s := range spans {
+		if a, ok := live[s.Attrs["attempt"]]; ok && s.Name == mrcluster.SpanShuffle {
+			a.Shuffle = s.Duration()
+			live[a.ID] = a
+		}
+	}
+	if len(live) != len(fromFile.Attempts) {
+		t.Fatalf("span store holds %d attempts, history file %d", len(live), len(fromFile.Attempts))
+	}
+	for _, hf := range fromFile.Attempts {
+		if hf.Outcome == "failed" {
+			hf.Reason = "" // a failed attempt's span records no cause
+		}
+		if sp := live[hf.ID]; hf != sp {
+			t.Fatalf("attempt %s disagrees:\n  file: %+v\n  span: %+v", hf.ID, hf, sp)
+		}
+	}
+	if len(fromFile.CriticalPath()) == 0 {
+		t.Fatal("empty critical path")
 	}
 }

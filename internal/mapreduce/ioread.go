@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/iofmt"
-	"repro/internal/vfs"
 )
 
 // Format-aware split reading. Both runtimes fetch input through this one
@@ -99,20 +98,4 @@ func readSeqSplit(read iofmt.RangeReaderFunc, split FileSplit) ([]Record, ReadSt
 		BytesDecoded: st.RawBytes,
 		Compressed:   st.CodecName != "none",
 	}, nil
-}
-
-// FSRangeReader adapts a file on a plain filesystem to a ranged reader,
-// loading the file lazily on first use.
-func FSRangeReader(fs vfs.FileSystem, path string) iofmt.RangeReaderFunc {
-	var file iofmt.RangeReaderFunc
-	return func(off, length int64) ([]byte, error) {
-		if file == nil {
-			data, err := vfs.ReadFile(fs, path)
-			if err != nil {
-				return nil, err
-			}
-			file = iofmt.BytesRangeReader(data)
-		}
-		return file(off, length)
-	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/iofmt"
 	"repro/internal/vfs"
 )
 
@@ -183,7 +184,7 @@ func TestReadSplitRecords(t *testing.T) {
 	}
 	var all []string
 	for _, s := range splits {
-		recs, _, err := ReadSplitRecords(fs, s)
+		recs, _, err := ReadSplit(iofmt.BytesRangeReader([]byte(content)), s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,7 +120,7 @@ func (c Ctx) End(name string, start, end time.Duration, attrs map[string]string)
 // SpanCtx records a span that must exist either way: with c's identity
 // when c is a sampled context of this registry, as a plain orphan span
 // otherwise. This is how the pre-tracing span sites (attempt spans,
-// pipeline writes, splits) keep their flat /timeline behaviour while
+// pipeline writes, splits) keep recording into the flat span list while
 // gaining causal identity whenever a context reaches them.
 func (r *Registry) SpanCtx(c Ctx, name string, start, end time.Duration, attrs map[string]string) {
 	if r == nil {

@@ -74,6 +74,18 @@ func (r *Runner) Run(job *mapreduce.Job) (*Report, error) {
 		return nil, fmt.Errorf("serial: no input data under %v", job.InputPaths)
 	}
 
+	// Read each input file once per run; its splits are windows onto it.
+	files := map[string]iofmt.RangeReaderFunc{}
+	for _, split := range splits {
+		if files[split.Path] == nil {
+			data, err := vfs.ReadFile(r.FS, split.Path)
+			if err != nil {
+				return nil, fmt.Errorf("serial: reading %s: %w", split.Path, err)
+			}
+			files[split.Path] = iofmt.BytesRangeReader(data)
+		}
+	}
+
 	total := mapreduce.NewCounters()
 	nReduce := job.Reducers()
 
@@ -90,7 +102,7 @@ func (r *Runner) Run(job *mapreduce.Job) (*Report, error) {
 	runMap := func(i int, buf *mapreduce.SortBuffer) mapResult {
 		split := splits[i]
 		ctx := mapreduce.NewTaskContext(job.Name, fmt.Sprintf("attempt_m_%06d_0", i), r.FS, job)
-		recs, rstats, err := mapreduce.ReadSplitRecords(r.FS, split)
+		recs, rstats, err := mapreduce.ReadSplit(files[split.Path], split)
 		if err != nil {
 			return mapResult{err: fmt.Errorf("split %v: %w", split, err)}
 		}

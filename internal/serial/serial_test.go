@@ -3,9 +3,11 @@ package serial
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/iofmt"
 	"repro/internal/mapreduce"
 	"repro/internal/vfs"
 )
@@ -297,5 +299,78 @@ func TestReportString(t *testing.T) {
 	s := rep.String()
 	if !strings.Contains(s, "wordcount") || !strings.Contains(s, "MAP_INPUT_RECORDS") {
 		t.Fatalf("report missing fields:\n%s", s)
+	}
+}
+
+// TestSplitsReadInputOnce runs WordCount over a 1 MB file as one split
+// and as sixteen. Each split used to re-read the whole file, so the
+// sixteen-split run allocated sixteen extra copies of its input; now it
+// may allocate at most the one-split run's bytes plus a small per-split
+// constant. Its output must equal the one-split run's, and the counters
+// its reads feed must equal what reading every split on its own gives.
+func TestSplitsReadInputOnce(t *testing.T) {
+	const size, nSplits = 1 << 20, 16
+	var b strings.Builder
+	for i := 0; b.Len() < size; i++ {
+		fmt.Fprintf(&b, "w%d alpha beta w%d gamma\n", i%101, i%7)
+	}
+	data := []byte(b.String())
+	splitSize := (int64(len(data)) + nSplits - 1) / nSplits
+	newFS := func() vfs.FileSystem {
+		fs := vfs.NewMemFS()
+		if err := vfs.WriteFile(fs, "/in/data.txt", data); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	run := func(splitSize int64) (allocated uint64, rep *Report, out string) {
+		fs := newFS()
+		job := wordCountJob("/in", "/out")
+		job.SplitSize = splitSize
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := (&Runner{FS: fs}).Run(job)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err = ReadOutput(fs, "/out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, rep, out
+	}
+	one, oneRep, oneOut := run(int64(len(data)))
+	many, manyRep, manyOut := run(splitSize)
+	t.Logf("allocated %.1f MB as 1 split, %.1f MB as %d", float64(one)/(1<<20), float64(many)/(1<<20), manyRep.MapTasks)
+	if oneRep.MapTasks != 1 || manyRep.MapTasks != nSplits {
+		t.Fatalf("map tasks = %d and %d, want 1 and %d", oneRep.MapTasks, manyRep.MapTasks, nSplits)
+	}
+	const perSplit = 64 << 10
+	if many > one+nSplits*perSplit {
+		t.Fatalf("%d splits allocated %d bytes, over the 1-split %d + %d x %d", nSplits, many, one, nSplits, perSplit)
+	}
+	if manyOut != oneOut {
+		t.Fatal("16-split output differs from the 1-split output")
+	}
+
+	splits, err := mapreduce.ComputeSplits(newFS(), []string{"/in"}, splitSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mapreduce.NewCounters()
+	for _, s := range splits {
+		recs, st, err := mapreduce.ReadSplit(iofmt.BytesRangeReader(data), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Inc(mapreduce.CtrMapInputRecords, int64(len(recs)))
+		want.Inc(mapreduce.CtrFileBytesRead, st.BytesRead)
+		want.Inc(mapreduce.CtrInputDecodedBytes, st.BytesDecoded)
+	}
+	for _, name := range []string{mapreduce.CtrMapInputRecords, mapreduce.CtrFileBytesRead, mapreduce.CtrInputDecodedBytes} {
+		if got := manyRep.Counters.Get(name); got != want.Get(name) {
+			t.Errorf("%s = %d, want %d", name, got, want.Get(name))
+		}
 	}
 }

@@ -1,11 +1,13 @@
 // Package trace is the read side of the causal-tracing subsystem
 // (internal/obs trace.go): byte-stable JSONL export/import of traced
 // spans, per-trace tree reconstruction, the cross-layer critical path,
-// and blame attribution. Where internal/history's report answers "where
-// did this *job's* time go" from lifecycle events alone, this package
-// answers it causally and across layers: a reduce attempt's critical
-// path can bottom out in the HDFS write pipeline of one slow DataNode,
-// and the blame table says so — node, layer and span kind.
+// blame attribution, and the waterfall that renders all three (the
+// webui's /trace/<id> page and the tail of `mrhistory -analyze`).
+// Where internal/history's report answers "where did this *job's* time
+// go" from lifecycle events alone, this package answers it causally and
+// across layers: a reduce attempt's critical path can bottom out in the
+// HDFS write pipeline of one slow DataNode, and the blame table says so
+// — node, layer and span kind.
 //
 // Exports are JSONL (one compact span object per line), persisted into
 // HDFS next to the job-history file, and byte-identical across replays
@@ -15,6 +17,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -44,8 +47,13 @@ func Marshal(spans []obs.Span) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// ErrMalformed marks input that is not a forest of spans: a line that
+// does not decode as a span, two spans sharing an ID, a span that is its
+// own ancestor, or (for Waterfall) no traced span to root a tree at.
+var ErrMalformed = errors.New("trace: malformed export")
+
 // Parse decodes a JSONL trace export (the inverse of Marshal; blank
-// lines are skipped).
+// lines are skipped). Every error wraps ErrMalformed.
 func Parse(data []byte) ([]obs.Span, error) {
 	var out []obs.Span
 	for i, line := range bytes.Split(data, []byte("\n")) {
@@ -54,11 +62,56 @@ func Parse(data []byte) ([]obs.Span, error) {
 		}
 		var s obs.Span
 		if err := json.Unmarshal(line, &s); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", i+1, err)
+			return nil, fmt.Errorf("%w: line %d: %w", ErrMalformed, i+1, err)
+		}
+		if len(s.Attrs) == 0 {
+			s.Attrs = nil // what Marshal's omitempty reads back as
 		}
 		out = append(out, s)
 	}
+	if err := checkForest(out); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// checkForest rejects span sets Build cannot turn into trees: a span ID
+// recorded twice, or a parent chain that loops back on itself (which
+// would leave Build with no root to descend from).
+func checkForest(spans []obs.Span) error {
+	parent := make(map[obs.SpanID]obs.SpanID, len(spans))
+	for _, s := range spans {
+		if s.ID == 0 {
+			continue
+		}
+		if _, dup := parent[s.ID]; dup {
+			return fmt.Errorf("%w: span %d recorded twice", ErrMalformed, s.ID)
+		}
+		parent[s.ID] = s.Parent
+	}
+	// Walk each span's ancestry until it leaves the file (a root) or
+	// meets a span already known to reach one; meeting the walk itself
+	// is a cycle.
+	const onWalk, rooted = 1, 2
+	state := make(map[obs.SpanID]uint8, len(parent))
+	for _, s := range spans {
+		id := s.ID
+		for id != 0 && state[id] == 0 {
+			p, ok := parent[id]
+			if !ok {
+				break
+			}
+			state[id] = onWalk
+			id = p
+		}
+		if state[id] == onWalk {
+			return fmt.Errorf("%w: span %d is its own ancestor", ErrMalformed, id)
+		}
+		for id := s.ID; state[id] == onWalk; id = parent[id] {
+			state[id] = rooted
+		}
+	}
+	return nil
 }
 
 // Node is one span in a reconstructed trace tree, children in record

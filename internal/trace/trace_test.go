@@ -1,6 +1,10 @@
 package trace_test
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -123,10 +127,21 @@ func TestRenderers(t *testing.T) {
 	r := fixture()
 	roots := trace.Build(trace.Collect(r))
 	steps := trace.CriticalPath(roots[0])
-	tree := trace.RenderTree(roots[0])
-	for _, want := range []string{"mr.job", "  mr.reduce_attempt", "    hdfs.write_pipeline", "node=node3"} {
-		if !strings.Contains(tree, want) {
-			t.Fatalf("tree missing %q:\n%s", want, tree)
+	spans := r.SpansTraced(roots[0].Span.Trace)
+	page, err := trace.Waterfall(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"trace " + string(roots[0].Span.Trace) + " — 4 span(s)",
+		"|" + strings.Repeat("#", 60) + "| mr.job ",
+		"|   mr.reduce_attempt",
+		"|     hdfs.write_pipeline",
+		trace.RenderCriticalPath(steps),
+		trace.RenderBlame(trace.BlameTable(steps)),
+	} {
+		if !strings.Contains(page, want) {
+			t.Fatalf("waterfall missing %q:\n%s", want, page)
 		}
 	}
 	cp := trace.RenderCriticalPath(steps)
@@ -137,4 +152,93 @@ func TestRenderers(t *testing.T) {
 	if !strings.Contains(bl, "node3") {
 		t.Fatalf("blame render:\n%s", bl)
 	}
+}
+
+// cycleExport is two spans that are each other's parent: a parent chain
+// with no root, which once sent the reader indexing an empty root list.
+const cycleExport = `{"name":"a","start_ns":0,"end_ns":1,"trace":"t1","span":1,"parent":2}
+{"name":"b","start_ns":0,"end_ns":1,"trace":"t1","span":2,"parent":1}
+`
+
+func TestParseRejectsMalformed(t *testing.T) {
+	for name, data := range map[string]string{
+		"cycle":       cycleExport,
+		"self parent": `{"name":"a","trace":"t1","span":7,"parent":7}`,
+		"long cycle": `{"name":"root","trace":"t1","span":1}
+{"name":"a","trace":"t1","span":2,"parent":4}
+{"name":"b","trace":"t1","span":3,"parent":2}
+{"name":"c","trace":"t1","span":4,"parent":3}`,
+		"duplicate id": `{"name":"a","trace":"t1","span":1}
+{"name":"b","trace":"t1","span":1}`,
+		"not json": "{\"name\":",
+	} {
+		if spans, err := trace.Parse([]byte(data)); !errors.Is(err, trace.ErrMalformed) {
+			t.Errorf("%s: Parse = %d spans, err %v; want ErrMalformed", name, len(spans), err)
+		}
+	}
+	// Untraced spans may repeat ID 0 and dangling parents are roots.
+	ok := `{"name":"flat"}
+{"name":"flat"}
+{"name":"orphan","trace":"t1","span":5,"parent":99}`
+	if _, err := trace.Parse([]byte(ok)); err != nil {
+		t.Fatalf("well-formed export rejected: %v", err)
+	}
+}
+
+// TestWaterfallNoRoot hands the renderer cyclic spans directly
+// (bypassing Parse): it must error, not index an empty root list.
+func TestWaterfallNoRoot(t *testing.T) {
+	cycle := []obs.Span{
+		{Name: "a", Trace: "t1", ID: 1, Parent: 2},
+		{Name: "b", Trace: "t1", ID: 2, Parent: 1},
+	}
+	for _, in := range [][]obs.Span{nil, cycle, {{Name: "flat"}}} {
+		if _, err := trace.Waterfall(in); !errors.Is(err, trace.ErrMalformed) {
+			t.Fatalf("Waterfall(%d spans) err = %v, want ErrMalformed", len(in), err)
+		}
+	}
+}
+
+// FuzzTraceParse drives hostile exports through the whole read path —
+// Parse, Build, CriticalPath, BlameTable, Waterfall — which must not
+// panic, must fail only with ErrMalformed, and must read back exactly
+// what Marshal writes for any export it accepts.
+func FuzzTraceParse(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("..", "jobs", "testdata", "golden_wordcount_trace.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	fixed, err := trace.Marshal(trace.Collect(fixture()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{golden, fixed, []byte(cycleExport), nil} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spans, err := trace.Parse(data)
+		if err != nil {
+			if !errors.Is(err, trace.ErrMalformed) {
+				t.Fatalf("untyped Parse error: %v", err)
+			}
+			return
+		}
+		out, err := trace.Marshal(spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := trace.Parse(out)
+		if err != nil {
+			t.Fatalf("Parse(Marshal(spans)): %v", err)
+		}
+		if !reflect.DeepEqual(spans, again) {
+			t.Fatalf("round trip changed the spans:\n%+v\n%+v", spans, again)
+		}
+		for _, root := range trace.Build(spans) {
+			trace.BlameTable(trace.CriticalPath(root))
+		}
+		if _, err := trace.Waterfall(spans); err != nil && !errors.Is(err, trace.ErrMalformed) {
+			t.Fatalf("untyped Waterfall error: %v", err)
+		}
+	})
 }

@@ -40,59 +40,13 @@ func attrSummary(attrs map[string]string) string {
 	return ""
 }
 
-// TraceWaterfallPage renders one trace: a gantt waterfall of its span
-// tree (same bar renderer as /timeline and /history), then the
-// cross-layer critical path and blame table. Unknown IDs error — the
-// handler turns that into a 404.
+// TraceWaterfallPage renders one live trace with trace.Waterfall: the
+// gantt waterfall of its span tree, then the cross-layer critical path
+// and blame table. Unknown IDs error — the handler turns that into a 404.
 func TraceWaterfallPage(reg *obs.Registry, id string) (string, error) {
 	spans := reg.SpansTraced(obs.TraceID(id))
 	if len(spans) == 0 {
 		return "", fmt.Errorf("webui: unknown trace %q", id)
 	}
-	origin, last := spans[0].Start, spans[0].End
-	for _, s := range spans {
-		if s.Start < origin {
-			origin = s.Start
-		}
-		if s.End > last {
-			last = s.End
-		}
-	}
-	width := last - origin
-	if width <= 0 {
-		width = 1
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s — %d span(s), %v\n\n", id, len(spans),
-		width.Round(time.Millisecond))
-	roots := trace.Build(spans)
-	var walk func(n *trace.Node, depth int)
-	walk = func(n *trace.Node, depth int) {
-		s := n.Span
-		label := strings.Repeat("  ", depth) + s.Name
-		node := s.Attrs["node"]
-		fmt.Fprintf(&b, "|%s| %-34s %-10s %v\n",
-			ganttBar(s.Start, s.End, origin, width), label, node,
-			s.Duration().Round(time.Millisecond))
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	for _, r := range roots {
-		walk(r, 0)
-	}
-	// The critical path descends from the longest root (a trace whose
-	// parent spans never recorded can have several).
-	best := roots[0]
-	for _, r := range roots {
-		if r.Span.Duration() > best.Span.Duration() {
-			best = r
-		}
-	}
-	steps := trace.CriticalPath(best)
-	b.WriteByte('\n')
-	b.WriteString(trace.RenderCriticalPath(steps))
-	b.WriteByte('\n')
-	b.WriteString(trace.RenderBlame(trace.BlameTable(steps)))
-	return b.String(), nil
+	return trace.Waterfall(spans)
 }

@@ -12,7 +12,6 @@
 //	/serving     region-server tier status (regions, heat, cache, recovery)
 //	/counters    counters of the most recently completed job
 //	/metrics     the full obs snapshot as JSON (counters, gauges, spans)
-//	/timeline    per-job task-attempt timeline from the recorded spans
 //	/history     persisted job histories (the history server)
 //	/traces      recorded traces, slowest first
 //	/trace/<id>  one trace's waterfall, critical path and blame
@@ -22,14 +21,12 @@ import (
 	"fmt"
 	"net/http"
 	"path"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/history"
-	"repro/internal/mrcluster"
-	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/vfs"
 )
 
@@ -66,7 +63,6 @@ func Handler(c *core.MiniCluster) http.Handler {
   /serving     region-server tier status (regions, heat, cache, recovery)
   /counters    last completed job's counters
   /metrics     cluster metrics + spans (JSON snapshot)
-  /timeline    per-job task-attempt timeline
   /history     persisted job histories (history server)
   /traces      recorded traces, slowest first
   /trace/<id>  one trace's waterfall, critical path and blame
@@ -78,7 +74,6 @@ func Handler(c *core.MiniCluster) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.Handle("/timeline", text(func() (string, error) { return TimelinePage(c.Obs), nil }))
 	mux.Handle("/dfshealth", text(func() (string, error) { return c.DFS.StatusPage(), nil }))
 	mux.Handle("/jobtracker", text(func() (string, error) { return c.MR.StatusPage(), nil }))
 	mux.Handle("/topology", text(func() (string, error) { return c.RenderTopology(), nil }))
@@ -163,9 +158,9 @@ func HistoryIndexPage(fs vfs.FileSystem) string {
 }
 
 // HistoryJobPage renders one persisted job history: the critical-path
-// analysis followed by a per-attempt gantt on the job's own time axis
-// (the same renderer as /timeline, but rebuilt from the durable file
-// rather than live spans).
+// analysis followed by a per-attempt gantt on the job's own time axis,
+// drawn with the trace waterfall's bars but rebuilt from the durable
+// file rather than live spans.
 func HistoryJobPage(fs vfs.FileSystem, jobID string) (string, error) {
 	data, err := vfs.ReadFile(fs, history.EventsPath(jobID))
 	if err != nil {
@@ -203,88 +198,8 @@ func HistoryJobPage(fs vfs.FileSystem, jobID string) (string, error) {
 			tags += fmt.Sprintf(",locality=%d", a.Locality)
 		}
 		fmt.Fprintf(&b, "%s |%s| %-34s %-8s %v %s\n",
-			kind, ganttBar(a.Start, end, rep.Submitted, span), a.ID, a.Node,
+			kind, trace.GanttBar(a.Start, end, rep.Submitted, span), a.ID, a.Node,
 			a.Duration().Round(time.Millisecond), tags)
 	}
 	return b.String(), nil
-}
-
-// timelineWidth is the character width of the rendered span bars.
-const timelineWidth = 60
-
-// ganttBar renders one timelineWidth-character bar for [start, end] on a
-// time axis beginning at origin and spanning span. Shared by /timeline
-// (live spans) and /history/<jobid> (rebuilt from the history file).
-func ganttBar(start, end, origin, span time.Duration) string {
-	lo := int(timelineWidth * (start - origin) / span)
-	hi := int(timelineWidth * (end - origin) / span)
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > timelineWidth-1 {
-		lo = timelineWidth - 1
-	}
-	if hi > timelineWidth {
-		hi = timelineWidth
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return strings.Repeat(" ", lo) + strings.Repeat("#", hi-lo) +
-		strings.Repeat(" ", timelineWidth-hi)
-}
-
-// TimelinePage renders a per-job gantt view of the recorded task-attempt
-// spans: one section per finished job, one bar per attempt, positioned on
-// the job's own time axis. This is the page lab exercises read to see
-// where a job's time went (see docs/OBSERVABILITY.md).
-func TimelinePage(reg *obs.Registry) string {
-	jobs := reg.SpansNamed(mrcluster.SpanJob)
-	if len(jobs) == 0 {
-		return "no completed jobs yet\n"
-	}
-	// Index attempt spans by the job id they carry in their attrs.
-	attempts := map[string][]obs.Span{}
-	for _, s := range reg.Spans() {
-		if s.Name == mrcluster.SpanMapAttempt || s.Name == mrcluster.SpanReduceAttempt {
-			attempts[s.Attrs["job"]] = append(attempts[s.Attrs["job"]], s)
-		}
-	}
-	var b strings.Builder
-	for _, job := range jobs {
-		id := job.Attrs["job"]
-		fmt.Fprintf(&b, "=== %s (%s) %s — start %v, ran %v ===\n",
-			id, job.Attrs["name"], job.Attrs["outcome"],
-			job.Start.Round(time.Millisecond), job.Duration().Round(time.Millisecond))
-		spans := append([]obs.Span(nil), attempts[id]...)
-		sort.SliceStable(spans, func(i, j int) bool {
-			if spans[i].Start != spans[j].Start {
-				return spans[i].Start < spans[j].Start
-			}
-			return spans[i].Attrs["attempt"] < spans[j].Attrs["attempt"]
-		})
-		span := job.Duration()
-		if span <= 0 {
-			span = 1
-		}
-		for _, s := range spans {
-			bar := ganttBar(s.Start, s.End, job.Start, span)
-			kind := "reduce"
-			if s.Name == mrcluster.SpanMapAttempt {
-				kind = "map   "
-			}
-			tags := s.Attrs["outcome"]
-			if s.Attrs["speculative"] == "true" {
-				tags += ",speculative"
-			}
-			if l, ok := s.Attrs["locality"]; ok {
-				tags += ",locality=" + l
-			}
-			fmt.Fprintf(&b, "%s |%s| %-28s %-8s %v %s\n",
-				kind, bar, s.Attrs["attempt"], s.Attrs["node"],
-				s.Duration().Round(time.Millisecond), tags)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
